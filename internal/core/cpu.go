@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"javasmt/internal/branch"
@@ -17,6 +18,14 @@ import (
 // Feed supplies the µop stream of one logical processor. The OS substrate
 // implements it by multiplexing software threads; tests implement it
 // directly from isa sources.
+//
+// Runnable and Done may change only during a Fill call on a feed of the
+// same CPU (a thread exit, an unblock, a spawn — possibly of another
+// context's feed), or between Run/RunFunctional calls. The cycle loop
+// relies on that rule: it caches every feed's Runnable/Done answers and
+// re-polls them only after a Fill, an AttachFeed, a Reset or on entry to
+// Run/RunFunctional, so a feed whose answers change with now alone, or
+// behind the CPU's back mid-run, is not supported.
 type Feed interface {
 	// Fill writes up to len(buf) µops for cycle now and returns how
 	// many were written. Returning 0 means nothing is runnable right
@@ -30,21 +39,22 @@ type Feed interface {
 
 // calendar bounds the number of µops beginning execution on any one cycle
 // (the issue-port model). Slots are tagged with their cycle so the ring
-// self-cleans lazily as the schedule advances.
+// self-cleans lazily as the schedule advances. Each slot packs the tag and
+// the count into one word: the slot index already fixes a cycle's low 16
+// bits, so the high bits (cycle &^ mask) are the tag and the low 16 bits
+// hold the count of µops claimed on that cycle.
 type calendar struct {
-	cycle []uint64
-	count []uint16
+	slot  []uint64
 	mask  uint64
-	width uint16
+	width uint64
 }
 
 func newCalendar(width int) *calendar {
 	const slots = 1 << 16
 	return &calendar{
-		cycle: make([]uint64, slots),
-		count: make([]uint16, slots),
+		slot:  make([]uint64, slots),
 		mask:  slots - 1,
-		width: uint16(width),
+		width: uint64(width),
 	}
 }
 
@@ -58,13 +68,13 @@ func (c *calendar) schedule(want, now uint64) uint64 {
 			return want
 		}
 		i := want & c.mask
-		if c.cycle[i] != want {
-			c.cycle[i] = want
-			c.count[i] = 1
+		s := c.slot[i]
+		if tag := want &^ c.mask; s&^c.mask != tag {
+			c.slot[i] = tag | 1
 			return want
 		}
-		if c.count[i] < c.width {
-			c.count[i]++
+		if s&c.mask < c.width {
+			c.slot[i] = s + 1
 			return want
 		}
 		want++
@@ -111,6 +121,27 @@ type coreBlock struct {
 	// incrementally at allocate/retire so dynamic partitioning needs no
 	// per-µop scan.
 	totRob, totLoads, totStores int
+
+	activity
+}
+
+// activity holds a core's per-context state as bitmasks, bit lid per
+// context, so the cycle loop derives activity with a few word operations
+// per core instead of walking every context (DESIGN.md §11). The masks are
+// updated where the state they mirror changes: ROB push and retire, the
+// end of fetchInto and funcExec, AttachFeed and Reset.
+type activity struct {
+	attached uint32 // a feed is bound
+	robBusy  uint32 // robCount > 0
+	bufBusy  uint32 // bufPos < bufLen
+	kern     uint32 // inKernel
+	// feedRun and feedLive cache each bound feed's Runnable and !Done,
+	// re-polled only while CPU.feedDirty is set (see Feed).
+	feedRun  uint32
+	feedLive uint32
+	// act is Step's snapshot of the core's active contexts for this
+	// cycle: attached, with work in flight, buffered or runnable.
+	act uint32
 }
 
 // context is the per-logical-processor state.
@@ -161,6 +192,9 @@ type context struct {
 
 func (x *context) robEmpty() bool { return x.robCount == 0 }
 
+// bit is the context's bit in its core's activity masks.
+func (x *context) bit() uint32 { return 1 << uint(x.lid) }
+
 func (x *context) robPush(e robEntry) {
 	x.rob[x.robTail] = e
 	x.robTail++
@@ -168,6 +202,21 @@ func (x *context) robPush(e robEntry) {
 		x.robTail = 0
 	}
 	x.robCount++
+	x.cb.robBusy |= x.bit()
+}
+
+// syncFront refreshes the context's bufBusy and kern bits after its front
+// end consumed buffered µops (fetchInto, funcExec).
+func (x *context) syncFront() {
+	cb, b := x.cb, x.bit()
+	cb.bufBusy &^= b
+	cb.kern &^= b
+	if x.bufPos < x.bufLen {
+		cb.bufBusy |= b
+	}
+	if x.inKernel {
+		cb.kern |= b
+	}
 }
 
 // CPU is the simulated processor: Geometry.Cores coreBlocks over one
@@ -185,13 +234,17 @@ type CPU struct {
 	robCapV, loadCapV, storeCapV int
 	dynPart                      bool
 	tcLineUops                   uint64
+	// cpc is the per-core context count: the modulus of the front-end
+	// and retirement rotations.
+	cpc uint64
 
-	// Per-cycle scratch state, allocated once: per-context activity and
-	// per-core active-context counts (Step), per-core occupancy snapshot
-	// buffer (observe.go).
-	actBuf  []bool
-	nActBuf []int
-	occBuf  []int
+	// feedDirty marks the cached feed answers in each core's activity
+	// masks stale: set by every Fill call, AttachFeed, Reset and entry to
+	// Run/RunFunctional, cleared when Step re-polls the feeds.
+	feedDirty bool
+
+	// occBuf is the per-core occupancy snapshot buffer (observe.go).
+	occBuf []int
 
 	// Pipeline-flow audit counters for the invariant layer (see
 	// invariants.go): µops delivered by feeds, allocated into the ROB,
@@ -268,14 +321,13 @@ func New(cfg Config) *CPU {
 		}
 		c.cores = append(c.cores, cb)
 	}
-	c.actBuf = make([]bool, len(c.ctxs))
-	c.nActBuf = make([]int, len(c.cores))
 	c.occBuf = make([]int, geo.ContextsPerCore)
 	c.robCapV = c.robCap()
 	c.loadCapV = c.loadCap()
 	c.storeCapV = c.storeCap()
 	c.dynPart = cfg.Partition == DynamicPartition
 	c.tcLineUops = uint64(cfg.TC.LineUops)
+	c.cpc = uint64(geo.ContextsPerCore)
 	return c
 }
 
@@ -296,13 +348,12 @@ func (c *CPU) Reset() {
 	c.funcCPQ = funcCPQDefault
 	c.funcFrac = 0
 	c.ckFed, c.ckAlloc, c.ckRetired, c.ckFunc = 0, 0, 0, 0
+	c.feedDirty = true
 	for _, cb := range c.cores {
 		cb.decodeBusyUntil = 0
 		cb.totRob, cb.totLoads, cb.totStores = 0, 0, 0
-		for i := range cb.cal.cycle {
-			cb.cal.cycle[i] = 0
-			cb.cal.count[i] = 0
-		}
+		cb.activity = activity{}
+		clear(cb.cal.slot)
 		cb.tc.Reset()
 		cb.hier.Reset() // resets the private L1D and the shared L2 (idempotent)
 		cb.itlb.Reset()
@@ -322,7 +373,13 @@ func (c *CPU) AttachFeed(ctx int, f Feed) {
 	if ctx < 0 || ctx >= len(c.ctxs) {
 		panic(fmt.Sprintf("core: context %d out of range (geometry %v)", ctx, c.cfg.Geo()))
 	}
-	c.ctxs[ctx].feed = f
+	x := c.ctxs[ctx]
+	x.feed = f
+	x.cb.attached &^= x.bit()
+	if f != nil {
+		x.cb.attached |= x.bit()
+	}
+	c.feedDirty = true
 }
 
 // Config returns the processor configuration.
@@ -357,15 +414,6 @@ func (c *CPU) storeCap() int {
 	return c.cfg.Params.StoreBufs
 }
 
-// active reports whether context i has present or imminent work.
-func (c *CPU) active(i int) bool {
-	x := c.ctxs[i]
-	if x.feed == nil {
-		return false
-	}
-	return x.robCount > 0 || x.bufPos < x.bufLen || x.feed.Runnable(c.now)
-}
-
 // done reports whether context i can never produce work again.
 func (c *CPU) ctxDone(i int) bool {
 	x := c.ctxs[i]
@@ -375,37 +423,55 @@ func (c *CPU) ctxDone(i int) bool {
 	return x.robCount == 0 && x.bufPos >= x.bufLen && x.feed.Done()
 }
 
+// pollFeeds re-reads every bound feed's Runnable/Done into the cores'
+// cached feed masks. Feeds change those answers only inside a Fill (see
+// Feed), so Step calls it only after feedDirty was set.
+func (c *CPU) pollFeeds() {
+	c.feedDirty = false
+	for _, cb := range c.cores {
+		run, live := uint32(0), uint32(0)
+		for m := cb.attached; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			f := cb.ctxs[l].feed
+			if f.Runnable(c.now) {
+				run |= 1 << l
+			}
+			if !f.Done() {
+				live |= 1 << l
+			}
+		}
+		cb.feedRun, cb.feedLive = run, live
+	}
+}
+
 // Step advances the machine one cycle. It returns false once every feed
 // is done and all pipelines have drained.
 func (c *CPU) Step() bool {
-	// One pass over the contexts computes done/active/kernel state; the
-	// activity flags are reused by the front end below so each feed's
-	// Runnable/Done is consulted at most once per cycle.
-	act := c.actBuf
-	nAct := c.nActBuf
-	for k := range nAct {
-		nAct[k] = 0
+	// Activity comes from the per-core masks: a context is active with
+	// work in flight, buffered or runnable, and done once none of those
+	// can ever return. Each core's act snapshot is what its front end
+	// serves below, so a Fill that wakes another context this cycle takes
+	// effect next cycle.
+	if c.feedDirty {
+		c.pollFeeds()
 	}
 	allDone := true
 	nActive := 0
 	osCycle := false
 	dualThread := false
-	for i := range c.ctxs {
-		act[i] = false
-		if !c.ctxDone(i) {
+	for _, cb := range c.cores {
+		pending := cb.robBusy | cb.bufBusy
+		if cb.attached&(pending|cb.feedLive) != 0 {
 			allDone = false
 		}
-		if c.active(i) {
-			act[i] = true
-			nActive++
-			x := c.ctxs[i]
-			nAct[x.cb.id]++
-			if nAct[x.cb.id] == 2 {
-				dualThread = true
-			}
-			if x.inKernel {
-				osCycle = true
-			}
+		act := cb.attached & (pending | cb.feedRun)
+		cb.act = act
+		nActive += bits.OnesCount32(act)
+		if act&(act-1) != 0 {
+			dualThread = true
+		}
+		if act&cb.kern != 0 {
+			osCycle = true
 		}
 	}
 	if allDone {
@@ -433,9 +499,10 @@ func (c *CPU) Step() bool {
 		c.file.Inc(counters.CyclesOS)
 	}
 
+	pref := int(c.now % c.cpc)
 	for _, cb := range c.cores {
-		if nAct[cb.id] > 0 {
-			c.fetchAllocate(cb, nAct[cb.id], act)
+		if cb.act != 0 {
+			c.fetchAllocate(cb, pref)
 		}
 	}
 	c.retire()
@@ -454,52 +521,31 @@ func (c *CPU) Step() bool {
 // context to serve (round-robin over the core's contexts when several are
 // active — the P4's alternation generalized to N), pull µops from its
 // feed and allocate them into the back end, consulting the trace cache,
-// ITLB, predictor and data hierarchy along the way.
-func (c *CPU) fetchAllocate(cb *coreBlock, nActCore int, act []bool) {
-	n := len(cb.ctxs)
-	serve := -1
-	if nActCore >= 2 {
+// ITLB, predictor and data hierarchy along the way. pref is the context
+// whose turn it is this cycle (now % ContextsPerCore).
+func (c *CPU) fetchAllocate(cb *coreBlock, pref int) {
+	act := cb.act
+	serve := bits.TrailingZeros32(act)
+	if act&(act-1) != 0 {
 		// The front end serves one context per cycle, rotating; if the
-		// preferred one is stalled the slot goes to the next in rotation
-		// order — SMT's latency hiding in one line.
-		pref := int(c.now % uint64(n))
-		for k := 0; k < n; k++ {
-			i := pref + k
-			if i >= n {
-				i -= n
-			}
-			if c.canFetch(cb.ctxs[i], act[cb.lo+i]) {
-				serve = i
-				break
-			}
-		}
-		if serve < 0 {
-			serve = pref // blocked; still charge its stall accounting
-		}
-	} else {
-		for i := range cb.ctxs {
-			if act[cb.lo+i] {
-				serve = i
-				break
+		// preferred one is stalled the slot goes to the next active one
+		// in rotation order — SMT's latency hiding in one line. Rotating
+		// the mask right by pref walks the active contexts in that order
+		// (see retireCore); a busy decoder stalls them all.
+		serve = pref // blocked; still charge its stall accounting
+		if cb.decodeBusyUntil <= c.now {
+			for m := bits.RotateLeft32(act, -pref); m != 0; m &= m - 1 {
+				i := (pref + bits.TrailingZeros32(m)) & 31
+				if x := cb.ctxs[i]; x.blockedUntil <= c.now && !x.drainFence {
+					serve = i
+					break
+				}
 			}
 		}
-	}
-	if serve < 0 {
-		return
 	}
 	if got := c.fetchInto(cb.ctxs[serve]); got == 0 {
 		c.file.Inc(counters.FetchStallCycles)
 	}
-}
-
-// canFetch reports whether context x could deliver at least one µop this
-// cycle (active, not front-end blocked, decoder free, with buffered or
-// producible work).
-func (c *CPU) canFetch(x *context, active bool) bool {
-	if !active || x.blockedUntil > c.now || x.drainFence || x.cb.decodeBusyUntil > c.now {
-		return false
-	}
-	return true
 }
 
 // fetchInto delivers up to FetchUops µops from context x's feed into its
@@ -529,6 +575,7 @@ func (c *CPU) fetchInto(x *context) int {
 				break
 			}
 			n := x.feed.Fill(c.now, x.buf)
+			c.feedDirty = true
 			if n == 0 {
 				break
 			}
@@ -685,6 +732,7 @@ func (c *CPU) fetchInto(x *context) int {
 			break
 		}
 	}
+	x.syncFront()
 	return allocated
 }
 
@@ -698,8 +746,9 @@ func (c *CPU) fetchInto(x *context) int {
 // it stays exact on one core).
 func (c *CPU) retire() {
 	retired, osRetired := 0, 0
+	pref := int(c.now % c.cpc)
 	for _, cb := range c.cores {
-		r, os := c.retireCore(cb)
+		r, os := c.retireCore(cb, pref)
 		retired += r
 		osRetired += os
 	}
@@ -717,65 +766,45 @@ func (c *CPU) retire() {
 	}
 }
 
-// retireCore retires up to RetireWidth µops from one core this cycle.
-func (c *CPU) retireCore(cb *coreBlock) (retired, osRetired int) {
-	budget := c.cfg.Params.RetireWidth
-	n := len(cb.ctxs)
-	first := 0
-	serve := n
-	if n > 1 {
-		first = int(c.now % uint64(n))
-		busy := 0
-		for _, x := range cb.ctxs {
-			if x.robCount > 0 {
-				busy++
-			}
-		}
-		if busy > 1 {
-			// Contention: one context per cycle, the first busy one in
-			// rotation order (an idle context's turn passes).
-			serve = 1
-			for k := 0; k < n; k++ {
-				i := first + k
-				if i >= n {
-					i -= n
-				}
-				if cb.ctxs[i].robCount > 0 {
-					first = i
-					break
-				}
-			}
-		}
+// retireCore retires up to RetireWidth µops from one core this cycle. It
+// serves the first context with work in flight in rotation order from
+// pref = now % ContextsPerCore (an idle context's turn passes); when fewer
+// than two are busy that is the only one with anything to retire, so the
+// whole budget is its.
+func (c *CPU) retireCore(cb *coreBlock, pref int) (retired, osRetired int) {
+	busy := cb.robBusy
+	if busy == 0 {
+		return 0, 0
 	}
-	for k := 0; k < serve && budget > 0; k++ {
-		i := first + k
-		if i >= n {
-			i -= n
+	// Rotating the mask right by pref puts the rotation order in bit
+	// order; bits below pref wrap to the top of the word, and the & 31
+	// folds their index back.
+	x := cb.ctxs[(pref+bits.TrailingZeros32(bits.RotateLeft32(busy, -pref)))&31]
+	width := c.cfg.Params.RetireWidth
+	for retired < width && x.robCount > 0 && x.rob[x.robHead].done <= c.now {
+		e := &x.rob[x.robHead]
+		x.robHead++
+		if x.robHead == len(x.rob) {
+			x.robHead = 0
 		}
-		x := cb.ctxs[i]
-		for budget > 0 && x.robCount > 0 && x.rob[x.robHead].done <= c.now {
-			e := &x.rob[x.robHead]
-			x.robHead++
-			if x.robHead == len(x.rob) {
-				x.robHead = 0
-			}
-			x.robCount--
-			if e.load {
-				x.loadsOut--
-				cb.totLoads--
-			}
-			if e.store {
-				x.storesOut--
-				cb.totStores--
-			}
-			if e.kernel {
-				osRetired++
-			}
-			x.retired++
-			budget--
-			retired++
+		x.robCount--
+		if e.load {
+			x.loadsOut--
+			cb.totLoads--
 		}
+		if e.store {
+			x.storesOut--
+			cb.totStores--
+		}
+		if e.kernel {
+			osRetired++
+		}
+		retired++
 	}
+	if x.robCount == 0 {
+		cb.robBusy &^= x.bit()
+	}
+	x.retired += uint64(retired)
 	cb.totRob -= retired
 	if check.Enabled && check.On {
 		c.ckRetired += uint64(retired)
@@ -798,6 +827,7 @@ func codeByteAddr(pc uint64) uint64 { return 1<<40 | pc*4 }
 func (c *CPU) Run(maxCycles uint64) (uint64, error) {
 	start := c.now
 	haltStreak := uint64(0)
+	c.feedDirty = true // feeds may have changed since the last call
 	for {
 		if maxCycles > 0 && c.now-start >= maxCycles {
 			return c.now - start, nil

@@ -95,6 +95,7 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 		return 0, 0, err
 	}
 	haltStreak := uint64(0)
+	c.feedDirty = true // feeds may have changed since the last call
 	for executed < maxUops {
 		if c.now >= c.nextCancel {
 			c.nextCancel = c.now + cancelStride
@@ -121,6 +122,7 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 					continue
 				}
 				n := x.feed.Fill(c.now, x.buf)
+				c.feedDirty = true
 				if n == 0 {
 					continue
 				}
@@ -224,6 +226,7 @@ func (c *CPU) funcExec(i, max int, warm bool) int {
 		// up its line so behavior after the span is deterministic.
 		x.haveLine = false
 	}
+	x.syncFront()
 	x.retired += uint64(n)
 	c.file.Add(counters.Instructions, uint64(n))
 	c.file.Add(counters.InstructionsOS, osUops)

@@ -58,9 +58,56 @@ func (c *CPU) verifyStep() {
 		check.Assert(cb.totStores <= p.StoreBufs, "core",
 			"core %d store-buffer occupancy %d exceeds core size %d", cb.id, cb.totStores, p.StoreBufs)
 	}
+	c.verifyActivity()
 
 	if c.now&(recountPeriod-1) == 0 {
 		c.verifyRecount()
+	}
+}
+
+// verifyActivity recomputes each core's activity masks from its contexts
+// and compares them with the incrementally kept ones. The cached feed
+// answers are compared against fresh Runnable/Done calls only while they
+// are not marked stale: a Fill this cycle may legitimately have changed
+// them, and the next Step re-polls.
+func (c *CPU) verifyActivity() {
+	for _, cb := range c.cores {
+		var attached, rob, buf, kern, run, live uint32
+		for _, x := range cb.ctxs {
+			b := x.bit()
+			if x.feed != nil {
+				attached |= b
+				if x.feed.Runnable(c.now) {
+					run |= b
+				}
+				if !x.feed.Done() {
+					live |= b
+				}
+			}
+			if x.robCount > 0 {
+				rob |= b
+			}
+			if x.bufPos < x.bufLen {
+				buf |= b
+			}
+			if x.inKernel {
+				kern |= b
+			}
+		}
+		check.Assert(cb.attached == attached, "core",
+			"core %d attached mask %#x != recomputed %#x", cb.id, cb.attached, attached)
+		check.Assert(cb.robBusy == rob, "core",
+			"core %d robBusy mask %#x != recomputed %#x", cb.id, cb.robBusy, rob)
+		check.Assert(cb.bufBusy == buf, "core",
+			"core %d bufBusy mask %#x != recomputed %#x", cb.id, cb.bufBusy, buf)
+		check.Assert(cb.kern == kern, "core",
+			"core %d kern mask %#x != recomputed %#x", cb.id, cb.kern, kern)
+		if !c.feedDirty {
+			check.Assert(cb.feedRun == run, "core",
+				"core %d cached feedRun mask %#x != fresh Runnable %#x", cb.id, cb.feedRun, run)
+			check.Assert(cb.feedLive == live, "core",
+				"core %d cached feedLive mask %#x != fresh !Done %#x", cb.id, cb.feedLive, live)
+		}
 	}
 }
 
