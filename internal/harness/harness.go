@@ -313,6 +313,10 @@ func (p *PairResult) SpeedupB() float64 {
 	return p.SoloB / p.TimeB
 }
 
+// launchHook, when non-nil, sees every VM a repeatingFeeder launches,
+// on the simulation goroutine. Tests use it to watch VM lifetimes.
+var launchHook func(*jvm.VM)
+
 // repeatingFeeder relaunches a benchmark program each time it exits, as
 // the paper's utility program does, recording each completion time.
 type repeatingFeeder struct {
@@ -353,6 +357,9 @@ func (rf *repeatingFeeder) launch() {
 		rf.prog = rf.b.Build(1, rf.scale, uint64(1+rf.slot)<<26)
 	}
 	vm := jvm.New(rf.prog, rf.k, vmConfig(rf.scale, rf.slot))
+	if launchHook != nil {
+		launchHook(vm)
+	}
 	rf.lastStart = rf.cpu.Now()
 	main := vm.Start()
 	jvm.OnExit(main, func() {

@@ -50,7 +50,7 @@ func (vm *VM) newGCThread() *Thread {
 func (g *gcState) fill(buf []isa.Uop) (int, bool) {
 	vm := g.vm
 	if vm.shutdown && g.phase == gcIdle {
-		return 0, true
+		return g.exit(0)
 	}
 	if !vm.gcRunning {
 		// Spurious wakeup: park again.
@@ -118,13 +118,20 @@ func (g *gcState) fill(buf []isa.Uop) (int, bool) {
 			vm.file.Add(counters.GCCycles, 64)
 			vm.gcFinished()
 			if vm.shutdown {
-				return n, true
+				return g.exit(n)
 			}
 			vm.blockThread(g.t, blockGCIdle)
 			return n, false
 		}
 	}
 	return n, false
+}
+
+// exit ends the collector, and with it the VM: every mutator has
+// exited, so nothing reads the heap again and its words are recycled.
+func (g *gcState) exit(n int) (int, bool) {
+	g.vm.heap.release()
+	return n, true
 }
 
 func (g *gcState) emit(buf []isa.Uop, n *int, u isa.Uop) {

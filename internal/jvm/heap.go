@@ -1,6 +1,9 @@
 package jvm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Object kinds stored in header word 1.
 const (
@@ -36,8 +39,29 @@ type heap struct {
 
 type span struct{ off, size int }
 
+// heapPool recycles the word arrays of terminated VMs, so a campaign
+// that relaunches a program for every run reuses heaps instead of
+// allocating one per launch. A pooled slice has the released heap's
+// capacity and, as its length, that heap's bump: the only prefix ever
+// written, and so the only part a reuse must clear. newHeap drops a
+// pooled slice of another capacity.
+var heapPool sync.Pool
+
 func newHeap(base uint64, capWords int) *heap {
+	if p, _ := heapPool.Get().(*[]uint64); p != nil && cap(*p) == capWords {
+		clear(*p)
+		return &heap{base: base, words: (*p)[:capWords]}
+	}
 	return &heap{base: base, words: make([]uint64, capWords)}
+}
+
+// release hands the word array to heapPool when the VM terminates
+// (DESIGN.md §5, "VM lifecycle and memory"). words becomes nil, so a
+// later access panics instead of reading a recycled heap.
+func (h *heap) release() {
+	w := h.words[:h.bump]
+	h.words = nil
+	heapPool.Put(&w)
 }
 
 // addrToIdx converts a simulated address to a word index, panicking on a

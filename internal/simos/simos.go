@@ -107,7 +107,10 @@ type Thread struct {
 	ID   int
 	Name string
 	Proc *Process
-	Src  isa.Source
+	// Src feeds the thread's µops. The kernel drops it (sets it nil)
+	// once it reports done, so an exited thread no longer keeps the
+	// runtime behind it — a VM and its heap — reachable.
+	Src isa.Source
 
 	state ThreadState
 	done  bool
@@ -383,7 +386,8 @@ func (k *Kernel) RunnableCount() int {
 	return n
 }
 
-// Threads returns all threads ever spawned.
+// Threads returns all threads ever spawned. Exited threads keep their
+// ID, name, process and Exited state, but their Src is nil.
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
 // File exposes the machine's counter file so runtime layers above the
@@ -469,6 +473,7 @@ func (c *cpuState) Fill(now uint64, buf []isa.Uop) int {
 			c.deschedule(cur, now)
 			cur.state = Exited
 			cur.done = true
+			cur.Src = nil
 		case c.current.state == Blocked:
 			// The thread blocked itself mid-fill (monitor, GC wait).
 			c.deschedule(c.current, now)

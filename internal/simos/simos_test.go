@@ -220,3 +220,26 @@ func TestRunnableCount(t *testing.T) {
 		t.Fatalf("runnable after block = %d, want 1", got)
 	}
 }
+
+// An exited thread keeps its identity but drops its source, so the
+// kernel does not keep a finished program's runtime reachable.
+func TestExitedThreadDropsSource(t *testing.T) {
+	cpu, k := newMachine(true)
+	p := k.NewProcess("app")
+	p.Spawn("t0", aluSource(5_000))
+	p.Spawn("t1", aluSource(5_000))
+	if _, err := cpu.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, th := range k.Threads() {
+		if th.ID != i || th.Proc != p || th.State() != Exited {
+			t.Fatalf("thread %d: ID %d, process %v, state %v; want ID %d of app, exited", i, th.ID, th.Proc, th.State(), i)
+		}
+		if th.Src != nil {
+			t.Fatalf("exited thread %q still holds its source", th.Name)
+		}
+	}
+	if got := k.Threads()[1].Name; got != "t1" {
+		t.Fatalf("thread 1 name = %q, want t1", got)
+	}
+}

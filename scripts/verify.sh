@@ -2,9 +2,11 @@
 # verify.sh — the repo's tier-1 gate plus the concurrency gate.
 #
 # Tier 1 (ROADMAP.md): everything must build and the full test suite
-# must pass. On top of that, the packages that share state across
-# goroutines — the harness (solo-time singleflight, pooled CPUs) and
-# the scheduler — must pass under the race detector at short scale,
+# must pass. On top of that, the perfbench module must build and pass
+# its smoke test (every campaign cell's counters match perfbench/pins.go),
+# the packages that share state across goroutines — the harness
+# (solo-time singleflight, pooled CPUs) and the scheduler — must pass
+# under the race detector at short scale,
 # the instrumented build (-tags checks, DESIGN.md §6) must pass its
 # probe suite with every invariant armed, the fault-injection build
 # (-tags faults, DESIGN.md §8) must pass its recovery suite, an
@@ -28,6 +30,9 @@ go vet ./...
 
 echo "== tests =="
 go test ./...
+
+echo "== perfbench smoke (benchmark builds, every cell matches its pin) =="
+(cd perfbench && go test .)
 
 echo "== obs disabled path allocates nothing =="
 go test ./internal/core -run TestObsDisabledAllocFree -count=1
