@@ -2,6 +2,7 @@ package jvm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -43,16 +44,39 @@ type span struct{ off, size int }
 // that relaunches a program for every run reuses heaps instead of
 // allocating one per launch. A pooled slice has the released heap's
 // capacity and, as its length, that heap's bump: the only prefix ever
-// written, and so the only part a reuse must clear. newHeap drops a
-// pooled slice of another capacity.
-var heapPool sync.Pool
+// written, and so the only part a reuse must clear.
+//
+// It is a plain free list of at most maxPooledHeaps arrays, not a
+// sync.Pool: a sync.Pool empties at garbage collections and keeps a
+// per-P cache, so whether a launch reused a heap, and with it the
+// process's peak memory, would vary from one run to the next.
+var heapPool struct {
+	sync.Mutex
+	free [][]uint64
+}
+
+// maxPooledHeaps bounds the released arrays kept for reuse: one per
+// program of a relaunching pairing on each of a few workers. A release
+// beyond it drops the oldest array, so arrays of a size no longer
+// launched age out.
+const maxPooledHeaps = 4
 
 func newHeap(base uint64, capWords int) *heap {
-	if p, _ := heapPool.Get().(*[]uint64); p != nil && cap(*p) == capWords {
-		clear(*p)
-		return &heap{base: base, words: (*p)[:capWords]}
+	heapPool.Lock()
+	var w []uint64
+	for i := len(heapPool.free) - 1; i >= 0; i-- {
+		if cap(heapPool.free[i]) == capWords {
+			w = heapPool.free[i]
+			heapPool.free = slices.Delete(heapPool.free, i, i+1)
+			break
+		}
 	}
-	return &heap{base: base, words: make([]uint64, capWords)}
+	heapPool.Unlock()
+	if w == nil {
+		return &heap{base: base, words: make([]uint64, capWords)}
+	}
+	clear(w)
+	return &heap{base: base, words: w[:capWords]}
 }
 
 // release hands the word array to heapPool when the VM terminates
@@ -61,7 +85,12 @@ func newHeap(base uint64, capWords int) *heap {
 func (h *heap) release() {
 	w := h.words[:h.bump]
 	h.words = nil
-	heapPool.Put(&w)
+	heapPool.Lock()
+	if len(heapPool.free) == maxPooledHeaps {
+		heapPool.free = slices.Delete(heapPool.free, 0, 1)
+	}
+	heapPool.free = append(heapPool.free, w)
+	heapPool.Unlock()
 }
 
 // addrToIdx converts a simulated address to a word index, panicking on a

@@ -61,45 +61,39 @@ func TestRecycledHeapMatchesFresh(t *testing.T) {
 	// A heap size no other test uses, so every pooled slice that fits
 	// it was released by this test.
 	cfg.HeapBytes = 1536 << 10
+	// Start from an empty pool, so the first run's heap is fresh.
+	heapPool.Lock()
+	heapPool.free = nil
+	heapPool.Unlock()
 	small := listProgram(500)
 	fresh, freshCPU := runProgram(t, small, true, cfg)
 
-	var recycled *VM
-	var recycledCPU *core.CPU
-	for attempt := 0; recycled == nil; attempt++ {
-		if attempt == 5 {
-			t.Fatal("the small program never ran on the large program's released heap")
+	bigCPU := core.New(core.DefaultConfig(true))
+	big := New(gcChurnProgram(400, 2048), simos.NewKernel(bigCPU, simos.DefaultParams()), cfg)
+	bigWords := &big.heap.words[0]
+	big.Start()
+	if _, err := bigCPU.Run(0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if big.heap.bump <= 0 {
+		t.Fatal("large program left no heap footprint")
+	}
+	recycledCPU := core.New(core.DefaultConfig(true))
+	recycled := New(small, simos.NewKernel(recycledCPU, simos.DefaultParams()), cfg)
+	if &recycled.heap.words[0] != bigWords {
+		t.Fatal("the small program did not get the large program's released heap")
+	}
+	for i, w := range recycled.heap.words {
+		if w != 0 {
+			t.Fatalf("recycled heap word %d = %#x, want 0", i, w)
 		}
-		bigCPU := core.New(core.DefaultConfig(true))
-		big := New(gcChurnProgram(400, 2048), simos.NewKernel(bigCPU, simos.DefaultParams()), cfg)
-		bigWords := &big.heap.words[0]
-		big.Start()
-		if _, err := bigCPU.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		cpu := core.New(core.DefaultConfig(true))
-		vm := New(small, simos.NewKernel(cpu, simos.DefaultParams()), cfg)
-		if &vm.heap.words[0] != bigWords {
-			// The pool may miss (another P's cache, two GCs in between);
-			// the reuse is what this test is about, so try again.
-			continue
-		}
-		if big.heap.bump <= 0 {
-			t.Fatal("large program left no heap footprint")
-		}
-		for i, w := range vm.heap.words {
-			if w != 0 {
-				t.Fatalf("recycled heap word %d = %#x, want 0", i, w)
-			}
-		}
-		vm.Start()
-		if _, err := cpu.Run(0); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if vm.heap.bump >= big.heap.bump {
-			t.Fatalf("small program's footprint %d words is not below the large one's %d", vm.heap.bump, big.heap.bump)
-		}
-		recycled, recycledCPU = vm, cpu
+	}
+	recycled.Start()
+	if _, err := recycledCPU.Run(0); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if recycled.heap.bump >= big.heap.bump {
+		t.Fatalf("small program's footprint %d words is not below the large one's %d", recycled.heap.bump, big.heap.bump)
 	}
 
 	if !reflect.DeepEqual(fresh.globals, recycled.globals) {
@@ -110,6 +104,33 @@ func TestRecycledHeapMatchesFresh(t *testing.T) {
 	}
 	if freshCPU.Now() != recycledCPU.Now() {
 		t.Fatalf("cycles differ: fresh %d, recycled %d", freshCPU.Now(), recycledCPU.Now())
+	}
+}
+
+// The pool keeps at most maxPooledHeaps arrays and drops the oldest
+// first, so arrays of a heap size no longer launched age out.
+func TestHeapPoolIsBounded(t *testing.T) {
+	heapPool.Lock()
+	heapPool.free = nil
+	heapPool.Unlock()
+	var first *uint64
+	for i := range maxPooledHeaps + 1 {
+		h := newHeap(0, 64+i)
+		h.bump = 1
+		h.words[0] = 1
+		if i == 0 {
+			first = &h.words[0]
+		}
+		h.release()
+	}
+	if n := len(heapPool.free); n != maxPooledHeaps {
+		t.Fatalf("pool holds %d arrays, want %d", n, maxPooledHeaps)
+	}
+	if h := newHeap(0, 64); &h.words[0] == first {
+		t.Fatal("the oldest released array was kept past the bound")
+	}
+	if h := newHeap(0, 65); h.words[0] != 0 || len(h.words) != 65 {
+		t.Fatalf("reused array: len %d, word 0 = %d, want len 65 and a cleared word", len(h.words), h.words[0])
 	}
 }
 
