@@ -72,16 +72,7 @@ func main() {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
-	res, fail, err := harness.RunResilient(b, opts, cfg)
+	res, fail, err := harness.RunResilient(b, opts, c.HarnessConfig(j))
 	if err != nil {
 		c.Fatal(err)
 	}

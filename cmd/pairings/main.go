@@ -39,17 +39,9 @@ func main() {
 	flag.Parse()
 	c := cf.MustFinish()
 
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
+	cfg := c.HarnessConfig(nil)
 	cfg.Runs = *runs
 	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
 
 	if *all {
 		targets := bench.SingleThreaded()

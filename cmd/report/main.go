@@ -56,18 +56,9 @@ func main() {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
+	cfg := c.HarnessConfig(j)
 	cfg.Runs = *runs
 	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
 	var failed []harness.Failure
 
 	if want("table1") {

@@ -93,17 +93,7 @@ func main() {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
-	cells, err := harness.RunSweep(cfg, targets, counts)
+	cells, err := harness.RunSweep(c.HarnessConfig(j), targets, counts)
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -189,16 +179,8 @@ func policySweep(c *cli.Common, policyList, mixList, geoList string) {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
+	cfg := c.HarnessConfig(j)
 	cfg.Progress = c.Progress()
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedParams = c.SchedParams()
 	cells, err := harness.RunPolicySweep(cfg, pols, ms, geos)
 	if err != nil {
 		c.Fatal(err)
@@ -250,17 +232,7 @@ func geometrySweep(c *cli.Common, name, benches, geoList string) {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
-	cells, err := harness.RunGeometrySweep(cfg, targets, geos)
+	cells, err := harness.RunGeometrySweep(c.HarnessConfig(j), targets, geos)
 	if err != nil {
 		c.Fatal(err)
 	}

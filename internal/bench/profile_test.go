@@ -17,7 +17,7 @@ func TestProfileSizes(t *testing.T) {
 		}
 		prog := b.Build(threads, Tiny, 0)
 		cpu := core.New(core.DefaultConfig(true))
-		k := simos.NewKernel(cpu, simos.DefaultParams())
+		k := simos.New(cpu, simos.Options{})
 		vm := jvm.New(prog, k, jvm.DefaultConfig())
 		vm.Start()
 		cycles, err := cpu.Run(0)

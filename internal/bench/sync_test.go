@@ -15,7 +15,7 @@ func runBenchCounters(t *testing.T, b *Benchmark, threads int, scale Scale, ht b
 	t.Helper()
 	prog := b.Build(threads, scale, 0)
 	cpu := core.New(core.DefaultConfig(ht))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := jvm.New(prog, k, jvm.DefaultConfig())
 	vm.Start()
 	if _, err := cpu.Run(0); err != nil {

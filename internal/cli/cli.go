@@ -60,7 +60,7 @@ func ParseScale(s string) (bench.Scale, error) {
 }
 
 // Options selects which optional flags a tool registers on top of the
-// always-present block (-scale, -small, -checks, -metrics, -trace,
+// always-present block (-scale, -checks, -metrics, -trace,
 // -sample).
 type Options struct {
 	// Jobs registers -j for tools that fan experiments out.
@@ -75,7 +75,6 @@ type Flags struct {
 	fs   *flag.FlagSet
 
 	scale   *string
-	small   *bool
 	jobs    *int
 	quiet   *bool
 	checks  *bool
@@ -109,7 +108,6 @@ type Flags struct {
 func Register(tool string, fs *flag.FlagSet, opt Options) *Flags {
 	f := &Flags{tool: tool, fs: fs}
 	f.scale = fs.String("scale", "tiny", "input scale: tiny|small|medium")
-	f.small = fs.Bool("small", false, "deprecated: use -scale small")
 	f.checks = fs.Bool("checks", check.Enabled, "enable runtime invariant probes (needs a -tags checks build)")
 	f.metrics = fs.String("metrics", "", "write sampled metrics time-series JSON to `file`")
 	f.trace = fs.String("trace", "", "write Chrome trace-event JSON to `file` (chrome://tracing, Perfetto)")
@@ -242,21 +240,7 @@ func (f *Flags) Finish() (*Common, error) {
 				geo.Cores, geo.ContextsPerCore)
 		}
 	}
-	scaleStr := *f.scale
-	if *f.small {
-		scaleSet := false
-		f.fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if scaleSet && !strings.EqualFold(scaleStr, "small") {
-			return nil, fmt.Errorf("-small conflicts with -scale %s", scaleStr)
-		}
-		fmt.Fprintf(f.fs.Output(), "%s: -small is deprecated; use -scale small\n", f.tool)
-		scaleStr = "small"
-	}
-	scale, err := ParseScale(scaleStr)
+	scale, err := ParseScale(*f.scale)
 	if err != nil {
 		return nil, err
 	}
@@ -362,6 +346,23 @@ func (c *Common) PolicyTag() string {
 // from DefaultParams).
 func (c *Common) SchedParams() simos.Params {
 	return simos.Params{Timeslice: c.Timeslice}
+}
+
+// HarnessConfig is the campaign configuration the flags describe,
+// journaling into j (nil for none). Runs and Progress keep their
+// defaults; tools that differ set them on the result.
+func (c *Common) HarnessConfig(j *resilience.Journal) harness.Config {
+	cfg := harness.DefaultConfig()
+	cfg.Scale = c.Scale
+	cfg.Jobs = c.Jobs
+	cfg.Obs = c.Obs
+	cfg.Policy = c.Policy
+	cfg.Inject = c.Inject
+	cfg.Journal = j
+	cfg.Plan = c.Plan
+	cfg.SchedPolicy = c.SchedPolicy
+	cfg.SchedParams = c.SchedParams()
+	return cfg
 }
 
 // OpenJournal opens the campaign journal selected by -journal/-resume,

@@ -71,26 +71,6 @@ func TestScaleFlag(t *testing.T) {
 	}
 }
 
-func TestSmallDeprecatedAlias(t *testing.T) {
-	c, err := parse(t, Options{}, "-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Scale != bench.Small {
-		t.Errorf("-small resolved to %v, want small", c.Scale)
-	}
-	// Redundant but consistent spelling is accepted.
-	if c, err = parse(t, Options{}, "-small", "-scale", "small"); err != nil || c.Scale != bench.Small {
-		t.Errorf("-small -scale small = %v, %v", c, err)
-	}
-	// Conflicting explicit -scale is a usage error.
-	if _, err = parse(t, Options{}, "-small", "-scale", "medium"); err == nil {
-		t.Error("-small -scale medium did not error")
-	} else if !strings.Contains(err.Error(), "conflicts") {
-		t.Errorf("conflict error = %v", err)
-	}
-}
-
 func TestJobsAndQuiet(t *testing.T) {
 	c, err := parse(t, Options{Jobs: true, Quiet: true}, "-j", "3", "-q")
 	if err != nil {
@@ -269,24 +249,6 @@ func TestJournalSyncFlag(t *testing.T) {
 		t.Fatalf("resumed = %d, want 1", j.Resumed())
 	}
 	j.Close()
-}
-
-// TestSmallWarningText pins the deprecation warning wording (and that it
-// goes to the flag set's output, where tests and wrappers can see it).
-func TestSmallWarningText(t *testing.T) {
-	fs := flag.NewFlagSet("testtool", flag.ContinueOnError)
-	var out strings.Builder
-	fs.SetOutput(&out)
-	f := Register("testtool", fs, Options{})
-	if err := fs.Parse([]string{"-small"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, "testtool: -small is deprecated; use -scale small") {
-		t.Fatalf("warning = %q", got)
-	}
 }
 
 // TestSamplingFlags pins the -sim-mode flag block: full is the default

@@ -1,14 +1,13 @@
 // Cell enumeration: every campaign type (characterization, pairings,
 // fig10, fig12, counter/geometry/policy sweeps) enumerates its grid as
 // a flat list of independently schedulable cells before anything runs.
-// The CLI drivers in experiments.go/policy.go iterate these cells
-// through the sched worker pool; the campaign service (internal/
-// service) shards the same cells across its dispatcher. One enumerator
-// per campaign type is the single source of truth for cell labels and
-// per-cell simulation options, so a daemon job and a one-shot CLI run
-// of the same spec produce byte-identical journal entries — the
-// property the service's crash-recovery and result-cache layers rest
-// on.
+// The CLI drivers in experiments.go/policy.go and the campaign service
+// (internal/service) alike run these cells on the sched worker pool.
+// One enumerator per campaign type is the single source of truth for
+// cell labels and per-cell simulation options, so a daemon job and a
+// one-shot CLI run of the same spec produce byte-identical journal
+// entries — the property the service's crash-recovery and result-cache
+// layers rest on.
 
 package harness
 
@@ -58,6 +57,41 @@ func mapCells[T any](cfg Config, cells []typedCell[T]) ([]outcome[T], error) {
 	})
 }
 
+// runGrid runs a campaign grid and returns one row per cell in cell
+// order: the completed value, or the cell's FAILED row when the
+// campaign gave it up.
+func runGrid[T any](cfg Config, cells []typedCell[T]) ([]T, error) {
+	outs, err := mapCells(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]T, len(outs))
+	for i, o := range outs {
+		if o.fail != nil {
+			rows[i] = cells[i].failed(o.fail.Reason())
+			continue
+		}
+		rows[i] = o.v
+	}
+	return rows, nil
+}
+
+// arm completes a cell's run options with the campaign-wide settings:
+// scale, cycle budget, the attempt's cancel flag, sampling plan,
+// seating policy and, when observing, the sink and the cell's label.
+func (cfg Config) arm(opt Options, w *resilience.Watch, label string) Options {
+	opt.Scale = cfg.Scale
+	opt.MaxCycles = cfg.Policy.CycleBudget
+	opt.Cancel = w.Flag()
+	opt.Plan = cfg.Plan
+	opt.SchedPolicy = cfg.SchedPolicy
+	opt.SchedParams = cfg.SchedParams
+	if cfg.Obs.Enabled() {
+		opt.Obs, opt.ObsLabel = cfg.Obs, label
+	}
+	return opt
+}
+
 // characterizationCells enumerates the §4.1 run matrix: every
 // multithreaded benchmark at 2 and 8 threads, HT off and on.
 func characterizationCells() []typedCell[CharRun] {
@@ -69,13 +103,7 @@ func characterizationCells() []typedCell[CharRun] {
 				cells = append(cells, typedCell[CharRun]{
 					label: label,
 					fn: func(cfg Config, w *resilience.Watch) (CharRun, error) {
-						opt := Options{HT: ht, Threads: threads, Scale: cfg.Scale, Verify: true,
-							MaxCycles: cfg.Policy.CycleBudget, Cancel: w.Flag(), Plan: cfg.Plan,
-							SchedPolicy: cfg.SchedPolicy, SchedParams: cfg.SchedParams}
-						if cfg.Obs.Enabled() {
-							opt.Obs, opt.ObsLabel = cfg.Obs, label
-						}
-						res, err := Run(b, opt)
+						res, err := Run(b, cfg.arm(Options{HT: ht, Threads: threads, Verify: true}, w, label))
 						if err != nil {
 							return CharRun{}, err
 						}
@@ -134,25 +162,17 @@ func fig10Cells() []typedCell[Fig10Row] {
 			failed: func(reason string) Fig10Row { return Fig10Row{Benchmark: b.Name, Failed: reason} },
 			fn: func(cfg Config, w *resilience.Watch) (Fig10Row, error) {
 				run := func(mode string, opt Options) (*Result, error) {
-					opt.MaxCycles = cfg.Policy.CycleBudget
-					opt.Cancel = w.Flag()
-					opt.Plan = cfg.Plan
-					opt.SchedPolicy = cfg.SchedPolicy
-					opt.SchedParams = cfg.SchedParams
-					if cfg.Obs.Enabled() {
-						opt.Obs, opt.ObsLabel = cfg.Obs, fmt.Sprintf("fig10 %s %s", b.Name, mode)
-					}
-					return Run(b, opt)
+					return Run(b, cfg.arm(opt, w, label+" "+mode))
 				}
-				off, err := run("ht=off", Options{Threads: 1, Scale: cfg.Scale, Verify: true})
+				off, err := run("ht=off", Options{Threads: 1, Verify: true})
 				if err != nil {
 					return Fig10Row{}, err
 				}
-				on, err := run("ht=on", Options{HT: true, Threads: 1, Scale: cfg.Scale})
+				on, err := run("ht=on", Options{HT: true, Threads: 1})
 				if err != nil {
 					return Fig10Row{}, err
 				}
-				dyn, err := run("ht=on dyn", Options{HT: true, Threads: 1, Scale: cfg.Scale, Partition: core.DynamicPartition})
+				dyn, err := run("ht=on dyn", Options{HT: true, Threads: 1, Partition: core.DynamicPartition})
 				if err != nil {
 					return Fig10Row{}, err
 				}
@@ -175,13 +195,7 @@ func fig12Cells(threadCounts []int) []typedCell[Fig12Row] {
 					return Fig12Row{Benchmark: b.Name, Threads: t, Failed: reason}
 				},
 				fn: func(cfg Config, w *resilience.Watch) (Fig12Row, error) {
-					opt := Options{HT: true, Threads: t, Scale: cfg.Scale, Verify: true,
-						MaxCycles: cfg.Policy.CycleBudget, Cancel: w.Flag(), Plan: cfg.Plan,
-						SchedPolicy: cfg.SchedPolicy, SchedParams: cfg.SchedParams}
-					if cfg.Obs.Enabled() {
-						opt.Obs, opt.ObsLabel = cfg.Obs, label
-					}
-					res, err := Run(b, opt)
+					res, err := Run(b, cfg.arm(Options{HT: true, Threads: t, Verify: true}, w, label))
 					if err != nil {
 						return Fig12Row{}, err
 					}
@@ -213,13 +227,7 @@ func sweepCells(targets []*bench.Benchmark, threadCounts []int) []typedCell[Swee
 					return SweepCell{Benchmark: b.Name, Threads: t, Failed: reason}
 				},
 				fn: func(cfg Config, w *resilience.Watch) (SweepCell, error) {
-					opt := Options{HT: true, Threads: t, Scale: cfg.Scale, Verify: true,
-						MaxCycles: cfg.Policy.CycleBudget, Cancel: w.Flag(), Plan: cfg.Plan,
-						SchedPolicy: cfg.SchedPolicy, SchedParams: cfg.SchedParams}
-					if cfg.Obs.Enabled() {
-						opt.Obs, opt.ObsLabel = cfg.Obs, label
-					}
-					res, err := Run(b, opt)
+					res, err := Run(b, cfg.arm(Options{HT: true, Threads: t, Verify: true}, w, label))
 					if err != nil {
 						return SweepCell{}, err
 					}
@@ -249,13 +257,7 @@ func geometryCells(targets []*bench.Benchmark, geos []core.Geometry) []typedCell
 					if b.Multithreaded {
 						threads = g.Total()
 					}
-					opt := Options{Geometry: g, Threads: threads, Scale: cfg.Scale, Verify: true,
-						MaxCycles: cfg.Policy.CycleBudget, Cancel: w.Flag(), Plan: cfg.Plan,
-						SchedPolicy: cfg.SchedPolicy, SchedParams: cfg.SchedParams}
-					if cfg.Obs.Enabled() {
-						opt.Obs, opt.ObsLabel = cfg.Obs, label
-					}
-					res, err := Run(b, opt)
+					res, err := Run(b, cfg.arm(Options{Geometry: g, Threads: threads, Verify: true}, w, label))
 					if err != nil {
 						return GeometryCell{}, err
 					}
@@ -282,12 +284,8 @@ func policyCells(policies []string, mixes []Mix, geos []core.Geometry) []typedCe
 						return PolicyCell{Mix: m.Name, Threads: m.Threads(), Policy: pol, Geometry: g, Failed: reason}
 					},
 					fn: func(cfg Config, w *resilience.Watch) (PolicyCell, error) {
-						opt := Options{Geometry: g, Scale: cfg.Scale, Verify: true,
-							MaxCycles: cfg.Policy.CycleBudget, Cancel: w.Flag(), Plan: cfg.Plan,
-							SchedPolicy: pol, SchedParams: cfg.SchedParams}
-						if cfg.Obs.Enabled() {
-							opt.Obs, opt.ObsLabel = cfg.Obs, label
-						}
+						opt := cfg.arm(Options{Geometry: g, Verify: true}, w, label)
+						opt.SchedPolicy = pol
 						res, err := RunMix(m, opt)
 						if err != nil {
 							return PolicyCell{}, err
@@ -315,7 +313,7 @@ type CellOutcome struct {
 }
 
 // CellSpec is one independently schedulable cell of an enumerated
-// campaign, as consumed by the campaign service's dispatcher. Label is
+// campaign, as consumed by the campaign service's executor. Label is
 // the cell's stable identity — the same string the CLI drivers journal,
 // so a service ledger and a CLI journal for the same spec are
 // interchangeable byte for byte.

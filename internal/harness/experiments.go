@@ -447,20 +447,7 @@ func (r Fig10Row) DynSlowdownPct() float64 {
 // program (paper §4.3), plus the dynamic-partition ablation, fanning
 // the per-benchmark measurements across up to cfg.Jobs workers.
 func RunFig10(cfg Config) ([]Fig10Row, error) {
-	cells := fig10Cells()
-	outs, err := mapCells(cfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig10Row, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			rows[i] = cells[i].failed(o.fail.Reason())
-			continue
-		}
-		rows[i] = o.v
-	}
-	return rows, nil
+	return runGrid(cfg, fig10Cells())
 }
 
 // RenderFig10 formats the Figure 10 rows.
@@ -498,20 +485,7 @@ type Fig12Row struct {
 // RunFig12 sweeps thread counts on the HT processor (paper §4.4),
 // fanning the sweep grid across up to cfg.Jobs workers.
 func RunFig12(cfg Config, threadCounts []int) ([]Fig12Row, error) {
-	cells := fig12Cells(threadCounts)
-	outs, err := mapCells(cfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig12Row, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			rows[i] = cells[i].failed(o.fail.Reason())
-			continue
-		}
-		rows[i] = o.v
-	}
-	return rows, nil
+	return runGrid(cfg, fig12Cells(threadCounts))
 }
 
 // RenderFig12 formats the thread sweep.
@@ -543,20 +517,7 @@ type SweepCell struct {
 // processor and collects full counter files, under cfg's campaign
 // policy (deadline, budget, retries, journal, fault injection).
 func RunSweep(cfg Config, targets []*bench.Benchmark, threadCounts []int) ([]SweepCell, error) {
-	grid := sweepCells(targets, threadCounts)
-	outs, err := mapCells(cfg, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]SweepCell, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			cells[i] = grid[i].failed(o.fail.Reason())
-			continue
-		}
-		cells[i] = o.v
-	}
-	return cells, nil
+	return runGrid(cfg, sweepCells(targets, threadCounts))
 }
 
 // GeometryCell is one cell of a machine-geometry sweep (cmd/sweep
@@ -574,25 +535,11 @@ type GeometryCell struct {
 }
 
 // RunGeometrySweep runs each target benchmark on each machine geometry —
-// the headline comparison ISSUE 7 asks for: the paper's HT processor
-// ({1,2}) against wider SMT ({1,4}), CMP ({2,1}, {2,2}) and beyond —
-// under cfg's campaign policy. Multithreaded benchmarks get one software
+// the paper's HT processor ({1,2}) against wider SMT ({1,4}), CMP
+// ({2,1}, {2,2}) and beyond — under cfg's campaign policy. Multithreaded benchmarks get one software
 // thread per hardware context so every seat is filled; single-threaded
 // ones run solo on context 0, measuring the partitioning tax of each
 // shape.
 func RunGeometrySweep(cfg Config, targets []*bench.Benchmark, geos []core.Geometry) ([]GeometryCell, error) {
-	grid := geometryCells(targets, geos)
-	outs, err := mapCells(cfg, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]GeometryCell, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			cells[i] = grid[i].failed(o.fail.Reason())
-			continue
-		}
-		cells[i] = o.v
-	}
-	return cells, nil
+	return runGrid(cfg, geometryCells(targets, geos))
 }

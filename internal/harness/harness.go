@@ -149,8 +149,7 @@ func cpuConfig(opts Options) core.Config {
 // scheduler tuning and the seating policy enter a simulation. Every
 // kernel the harness creates (characterization runs, solo reference
 // measurements, pairings, mixes) comes through here, so an Options
-// change reaches all of them; the old pattern of calling
-// simos.NewKernel(cpu, simos.DefaultParams()) at each call site is gone.
+// change reaches all of them.
 func newKernel(cpu *core.CPU, opts Options) (*simos.Kernel, error) {
 	pol, err := simos.NewPolicy(opts.SchedPolicy)
 	if err != nil {

@@ -214,20 +214,7 @@ func (c *PolicyCell) IPC() float64 { return c.Counters.IPC() }
 // injection). Cell order is policy-major within mix×geometry so the
 // rendered table's rows group naturally.
 func RunPolicySweep(cfg Config, policies []string, mixes []Mix, geos []core.Geometry) ([]PolicyCell, error) {
-	grid := policyCells(policies, mixes, geos)
-	outs, err := mapCells(cfg, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]PolicyCell, len(outs))
-	for i, o := range outs {
-		if o.fail != nil {
-			cells[i] = grid[i].failed(o.fail.Reason())
-			continue
-		}
-		cells[i] = o.v
-	}
-	return cells, nil
+	return runGrid(cfg, policyCells(policies, mixes, geos))
 }
 
 // RenderPolicySweep formats the policy sweep as the headline table: one

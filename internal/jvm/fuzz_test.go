@@ -86,7 +86,7 @@ func FuzzInterp(f *testing.F) {
 			panic(r) // anything else is an interpreter/machine bug
 		}()
 		cpu := core.New(core.DefaultConfig(false))
-		k := simos.NewKernel(cpu, simos.DefaultParams())
+		k := simos.New(cpu, simos.Options{})
 		cfg := jvm.DefaultConfig()
 		cfg.HeapBytes = 1 << 20
 		vm := jvm.New(prog, k, cfg)

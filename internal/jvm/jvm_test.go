@@ -16,7 +16,7 @@ import (
 func runProgram(t *testing.T, prog *bytecode.Program, ht bool, cfg Config) (*VM, *core.CPU) {
 	t.Helper()
 	cpu := core.New(core.DefaultConfig(ht))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, cfg)
 	vm.Start()
 	if _, err := cpu.Run(0); err != nil {
@@ -329,7 +329,7 @@ func expectVMError(t *testing.T, prog *bytecode.Program, fragment string) {
 		}
 	}()
 	cpu := core.New(core.DefaultConfig(false))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, DefaultConfig())
 	vm.Start()
 	_, _ = cpu.Run(0)
@@ -389,7 +389,7 @@ func TestOutOfMemoryPanics(t *testing.T) {
 		}
 	}()
 	cpu := core.New(core.DefaultConfig(false))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, cfg)
 	vm.Start()
 	_, _ = cpu.Run(0)
@@ -414,7 +414,7 @@ func TestMonExitNotOwnerPanics(t *testing.T) {
 func TestUopPCsStayWithinMethodRanges(t *testing.T) {
 	prog := sumProgram(50)
 	cpu := core.New(core.DefaultConfig(false))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, DefaultConfig())
 	th := vm.Start()
 

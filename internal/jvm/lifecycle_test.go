@@ -34,7 +34,7 @@ func TestFinishedVMIsCollected(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.HeapBytes = 1 << 20
 			cpu := core.New(core.DefaultConfig(true))
-			k := simos.NewKernel(cpu, simos.DefaultParams())
+			k := simos.New(cpu, simos.Options{})
 			wp := startVM(tc.prog, k, cfg)
 			if _, err := cpu.Run(0); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -69,7 +69,7 @@ func TestRecycledHeapMatchesFresh(t *testing.T) {
 	fresh, freshCPU := runProgram(t, small, true, cfg)
 
 	bigCPU := core.New(core.DefaultConfig(true))
-	big := New(gcChurnProgram(400, 2048), simos.NewKernel(bigCPU, simos.DefaultParams()), cfg)
+	big := New(gcChurnProgram(400, 2048), simos.New(bigCPU, simos.Options{}), cfg)
 	bigWords := &big.heap.words[0]
 	big.Start()
 	if _, err := bigCPU.Run(0); err != nil {
@@ -79,7 +79,7 @@ func TestRecycledHeapMatchesFresh(t *testing.T) {
 		t.Fatal("large program left no heap footprint")
 	}
 	recycledCPU := core.New(core.DefaultConfig(true))
-	recycled := New(small, simos.NewKernel(recycledCPU, simos.DefaultParams()), cfg)
+	recycled := New(small, simos.New(recycledCPU, simos.Options{}), cfg)
 	if &recycled.heap.words[0] != bigWords {
 		t.Fatal("the small program did not get the large program's released heap")
 	}

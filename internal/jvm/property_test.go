@@ -20,7 +20,7 @@ func TestRandomProgramsMatchGoEvaluation(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		prog, want := randomProgram(rng)
 		cpu := core.New(core.DefaultConfig(trial%2 == 0))
-		k := simos.NewKernel(cpu, simos.DefaultParams())
+		k := simos.New(cpu, simos.Options{})
 		vm := New(prog, k, DefaultConfig())
 		vm.Start()
 		if _, err := cpu.Run(0); err != nil {

@@ -24,7 +24,7 @@ func expectVMErrorHT(t *testing.T, prog *bytecode.Program, fragment string) {
 		}
 	}()
 	cpu := core.New(core.DefaultConfig(true))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, DefaultConfig())
 	vm.Start()
 	_, _ = cpu.Run(0)
@@ -33,7 +33,7 @@ func expectVMErrorHT(t *testing.T, prog *bytecode.Program, fragment string) {
 func TestStoreBufferForwardingAndDrain(t *testing.T) {
 	prog := sumProgram(1)
 	cpu := core.New(core.DefaultConfig(false))
-	k := simos.NewKernel(cpu, simos.DefaultParams())
+	k := simos.New(cpu, simos.Options{})
 	vm := New(prog, k, DefaultConfig())
 	th := vm.Start()
 

@@ -68,8 +68,8 @@ type persistedState struct {
 }
 
 // Job is one admitted campaign: its resolved spec, enumerated cells,
-// per-job ledger, and live progress. Workers call runOne concurrently;
-// everything mutable is behind mu.
+// per-job ledger, and live progress. The executor calls runOne
+// concurrently; everything mutable is behind mu.
 type Job struct {
 	id     string
 	dir    string
@@ -79,7 +79,6 @@ type Job struct {
 	cfg    harness.Config
 	ledger *resilience.Journal
 	cache  *Cache
-	disp   *dispatcher
 
 	// stop is the job's cancellation signal, wired into every cell's
 	// resilience policy (CellPolicy.Stop): closing it aborts running
@@ -101,10 +100,10 @@ type Job struct {
 }
 
 // newJob builds a Job from a resolved plan and an open ledger.
-func newJob(id, dir string, p *plan, ledger *resilience.Journal, cache *Cache, disp *dispatcher) *Job {
+func newJob(id, dir string, p *plan, ledger *resilience.Journal, cache *Cache) *Job {
 	jb := &Job{
 		id: id, dir: dir, plan: p, config: p.configString(),
-		cells: p.cells(), ledger: ledger, cache: cache, disp: disp,
+		cells: p.cells(), ledger: ledger, cache: cache,
 		stop:    make(chan struct{}),
 		state:   StateRunning,
 		resumed: ledger.Resumed(),
@@ -134,13 +133,10 @@ func newJob(id, dir string, p *plan, ledger *resilience.Journal, cache *Cache, d
 	return jb
 }
 
-// runOne executes one cell on a dispatcher worker: ledger first (a
+// runOne executes one cell in an executor slot: ledger first (a
 // recorded cell replays for free), then the cross-job digest cache,
 // then real simulation under the job's full resilience stack.
 func (jb *Job) runOne(i int) {
-	if jb.terminal() {
-		return
-	}
 	spec := jb.cells[i]
 	if _, ok := jb.ledger.Lookup(spec.Label); !ok {
 		if payload, hit := jb.cache.Get(jb.config, spec.Label); hit {
@@ -193,12 +189,11 @@ func (jb *Job) finish(res CellResult) {
 	jb.mu.Unlock()
 }
 
-// cancel cancels the job: pending cells are dropped from the
-// dispatcher, running cells are aborted through the Stop channel, and
-// the job goes terminal immediately.
+// cancel cancels the job: it goes terminal immediately, so the
+// executor starts none of its pending cells, and running cells are
+// aborted through the Stop channel.
 func (jb *Job) cancel(reason string) {
 	jb.stopOnce.Do(func() { close(jb.stop) })
-	jb.disp.drop(jb)
 	jb.mu.Lock()
 	if jb.state == StateRunning {
 		jb.terminalLocked(StateCanceled, reason)
@@ -210,7 +205,6 @@ func (jb *Job) cancel(reason string) {
 // make progress and goes terminal with the error recorded.
 func (jb *Job) fail(err error) {
 	jb.stopOnce.Do(func() { close(jb.stop) })
-	jb.disp.drop(jb)
 	jb.mu.Lock()
 	if jb.state == StateRunning {
 		jb.terminalLocked(StateFailed, err.Error())

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"javasmt/internal/resilience"
+	"javasmt/internal/sched"
 )
 
 // Config configures the campaign server.
@@ -18,7 +19,8 @@ type Config struct {
 	// DataDir is the daemon's state root; each job lives in
 	// DataDir/jobs/<id>/ (spec.json + ledger + terminal marker).
 	DataDir string
-	// Workers bounds how many cells simulate concurrently (min 1).
+	// Workers bounds how many cells simulate concurrently across all
+	// jobs; 0 or negative means one per CPU (sched.DefaultWorkers).
 	Workers int
 	// MaxQueuedCells bounds the total pending cells across all jobs;
 	// a submission that would exceed it is rejected with 429. 0 = no
@@ -33,31 +35,52 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the dispatcher, the digest cache and the job table. It
-// is constructed with New (which also recovers jobs a previous daemon
-// left unfinished) and exposed over HTTP via Handler.
+// Server owns the cell executor, the digest cache and the job table.
+// It is constructed with New (which also recovers jobs a previous
+// daemon left unfinished) and exposed over HTTP via Handler.
+//
+// The executor is sched: every admitted job runs on its own tracked
+// goroutine that fans the job's cells out with sched.ForEach, and a
+// server-wide slot semaphore caps how many cells simulate at once
+// across all jobs.
 type Server struct {
-	cfg   Config
-	disp  *dispatcher
-	cache *Cache
+	cfg     Config
+	workers int
+	slots   chan struct{}
+	runs    sync.WaitGroup // one per started job goroutine
+	cache   *Cache
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string
 	seq      int
 	draining bool
+	// pending counts each started job's cells not yet handed a slot.
+	pending map[cellRunner]int
 }
 
-// New builds the server, starts its workers, and recovers every job
-// found under DataDir: terminal jobs load read-only, interrupted ones
-// resume from their ledgers (re-simulating only cells the ledger does
-// not hold).
+// cellRunner is an admitted job as the executor sees it. *Job
+// implements it; tests substitute stubs to exercise the executor alone.
+type cellRunner interface {
+	runOne(cell int)
+	terminal() bool
+}
+
+// New builds the server and recovers every job found under DataDir:
+// terminal jobs load read-only, interrupted ones resume from their
+// ledgers (re-simulating only cells the ledger does not hold).
 func New(cfg Config) (*Server, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = sched.DefaultWorkers()
+	}
 	s := &Server{
-		cfg:   cfg,
-		disp:  newDispatcher(cfg.Workers, cfg.MaxQueuedCells),
-		cache: NewCache(),
-		jobs:  map[string]*Job{},
+		cfg:     cfg,
+		workers: workers,
+		slots:   make(chan struct{}, workers),
+		cache:   NewCache(),
+		jobs:    map[string]*Job{},
+		pending: map[cellRunner]int{},
 	}
 	if err := os.MkdirAll(s.jobsDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -87,11 +110,11 @@ func (s *Server) ledgerOptions() []resilience.Option {
 
 // recover scans the jobs directory and reloads every job: jobs with a
 // terminal marker come back read-only (results replayable from their
-// ledgers); the rest re-enter the dispatcher, where ledgered cells
-// replay instantly and only genuinely unfinished cells simulate. A
-// ledger torn mid-append by kill -9 is truncated to its valid prefix
-// by resilience.Open, so the resumed run continues from exactly the
-// cells that fully committed.
+// ledgers); the rest start again, where ledgered cells replay
+// instantly and only genuinely unfinished cells simulate. A ledger torn
+// mid-append by kill -9 is truncated to its valid prefix by
+// resilience.Open, so the resumed run continues from exactly the cells
+// that fully committed.
 func (s *Server) recover() error {
 	dirs, err := os.ReadDir(s.jobsDir())
 	if err != nil {
@@ -162,7 +185,7 @@ func (s *Server) recoverJob(id string) error {
 	if err != nil {
 		return err
 	}
-	jb := newJob(id, dir, p, ledger, s.cache, s.disp)
+	jb := newJob(id, dir, p, ledger, s.cache)
 	s.seedCache(jb)
 
 	if st.State != "" && st.State != StateRunning {
@@ -177,14 +200,13 @@ func (s *Server) recoverJob(id string) error {
 		}
 		jb.mu.Unlock()
 		ledger.Close()
-	} else if !s.disp.submit(jb, len(jb.cells)) {
+	} else if !s.start(jb, len(jb.cells)) {
 		return fmt.Errorf("queue full while recovering")
 	}
-	// A resumed job's cells all re-enter the dispatcher: the ledgered
-	// ones replay from the journal in microseconds (runCell's lookup
-	// path) and flow through finish like any other completion, so
-	// progress counting and the done transition need no resume-specific
-	// arithmetic.
+	// A resumed job's cells all run again: the ledgered ones replay
+	// from the journal in microseconds (runCell's lookup path) and flow
+	// through finish like any other completion, so progress counting
+	// and the done transition need no resume-specific arithmetic.
 	s.jobs[id] = jb
 	s.order = append(s.order, id)
 	s.logf("job %s: recovered (%s, %d/%d cells in ledger)", id, jb.status().State, jb.resumed, len(jb.cells))
@@ -262,8 +284,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	jb := newJob(id, dir, p, ledger, s.cache, s.disp)
-	if !s.disp.submit(jb, len(jb.cells)) {
+	jb := newJob(id, dir, p, ledger, s.cache)
+	if !s.start(jb, len(jb.cells)) {
 		// Admission refused: undo the directory so the rejected job
 		// leaves no trace to recover.
 		ledger.Close()
@@ -308,6 +330,76 @@ func (s *Server) Jobs() []JobStatus {
 	return out
 }
 
+// start admits a job's n cells and runs them on a tracked goroutine.
+// It refuses (false) when the server is draining or the queue bound
+// would be exceeded — the caller turns that into an explicit 429-style
+// rejection, keeping the daemon responsive for the jobs already
+// admitted. Cells the job's ledger already holds run too: running them
+// is a journal lookup, effectively free, so restart recovery needs no
+// special path.
+func (s *Server) start(jb cellRunner, n int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || (s.cfg.MaxQueuedCells > 0 && s.queuedLocked()+n > s.cfg.MaxQueuedCells) {
+		return false
+	}
+	s.pending[jb] = n
+	s.runs.Add(1)
+	go s.run(jb, n)
+	return true
+}
+
+// run fans one job's cells across up to Workers goroutines; each cell
+// waits for a server-wide slot. A cell of a canceled or failed job is
+// skipped before it takes a slot.
+func (s *Server) run(jb cellRunner, n int) {
+	defer s.runs.Done()
+	sched.ForEach(n, s.workers, func(cell int) error {
+		if jb.terminal() {
+			return nil
+		}
+		s.slots <- struct{}{}
+		defer func() { <-s.slots }()
+		if s.take(jb) {
+			jb.runOne(cell)
+		}
+		return nil
+	})
+}
+
+// take claims one of jb's pending cells for a slot holder. It refuses
+// once jb is terminal or the server drains; a drained cell runs
+// nothing and stays pending for the next daemon to resume.
+func (s *Server) take(jb cellRunner) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || jb.terminal() {
+		return false
+	}
+	s.pending[jb]--
+	return true
+}
+
+// queuedLocked counts the cells not yet started across live jobs: a
+// canceled or failed job's unstarted cells stop counting the moment it
+// goes terminal. Caller holds s.mu.
+func (s *Server) queuedLocked() int {
+	n := 0
+	for jb, k := range s.pending {
+		if !jb.terminal() {
+			n += k
+		}
+	}
+	return n
+}
+
+// queued returns the queued cell count (for /healthz and tests).
+func (s *Server) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queuedLocked()
+}
+
 // Drain gracefully stops the server: new submissions are refused,
 // in-flight cells finish and commit to their ledgers, queued cells are
 // left for the next daemon to resume. Call before process exit on
@@ -316,7 +408,7 @@ func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.disp.drain()
+	s.runs.Wait()
 	s.logf("drained: in-flight cells committed, %d jobs still resumable", s.unfinished())
 }
 
@@ -373,7 +465,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size := s.cache.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
-		"queued_cells": s.disp.pending(),
+		"queued_cells": s.queued(),
 		"active_jobs":  s.unfinished(),
 		"cache":        map[string]int{"hits": hits, "misses": misses, "entries": size},
 	})

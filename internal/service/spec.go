@@ -1,6 +1,6 @@
 // Package service is the campaign server behind cmd/javasmtd: a
 // long-running daemon that accepts experiment-campaign specs over
-// HTTP/JSON, shards their cells across a bounded worker pool, journals
+// HTTP/JSON, fans their cells across a bounded worker pool, journals
 // every outcome to a per-job ledger (the same JSONL journal the CLI
 // campaigns write, so a killed daemon resumes every in-flight job
 // byte-identically on restart), and serves results as they complete.
@@ -21,9 +21,17 @@ import (
 )
 
 // JobSpec is one submitted campaign: which experiment grid to run and
-// under what simulation and resilience configuration. The zero value
-// of every optional field selects the CLI tools' defaults, so a spec
-// naming only a kind runs the same campaign `report`/`sweep` would.
+// under what simulation and resilience configuration. A zero optional
+// field takes the daemon's default: tiny scale, full simulation, the
+// naive seating policy, 6 pairing runs and no deadlines, budget or
+// retries, as in the CLI tools. The grid axes differ from the CLIs in
+// places, so a spec naming only a kind is not always the campaign
+// `report` or `sweep` would run:
+//   - sweep runs threads [1,2] over every benchmark, where `sweep`
+//     runs 1,2,4,8,16 over the multithreaded ones;
+//   - fig12 runs threads [1,2,4,8], where `report` adds 16;
+//   - policy needs all three of its axes given, where `sweep` defaults
+//     the mixes and geometries.
 type JobSpec struct {
 	// Kind selects the campaign type: characterization, pairings,
 	// fig10, fig12, sweep, geometry or policy.

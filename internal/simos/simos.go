@@ -231,8 +231,7 @@ func (c *cpuState) deschedule(t *Thread, now uint64) {
 
 // Options configures a kernel: scheduler tuning plus the seating policy.
 // It is the single constructor-surface for every layer above (the
-// harness's newKernel derives one from its own Options); direct Params
-// plumbing via NewKernel is deprecated.
+// harness's newKernel derives one from its own Options).
 type Options struct {
 	// Params tunes the timeslicer. Zero fields take their DefaultParams
 	// values, so a partial override (say, only Timeslice) keeps the rest
@@ -261,22 +260,8 @@ func New(cpu *core.CPU, opts Options) *Kernel {
 	if p.MigrationUops == 0 {
 		p.MigrationUops = def.MigrationUops
 	}
-	return newKernel(cpu, p, opts.Policy)
-}
-
-// NewKernel builds a kernel with params used verbatim (no zero-field
-// defaulting) and the seed FIFO timeslicer.
-//
-// Deprecated: use New, which takes Options and supports seating
-// policies. NewKernel remains for existing callers and tests that tune
-// raw Params.
-func NewKernel(cpu *core.CPU, params Params) *Kernel {
-	return newKernel(cpu, params, nil)
-}
-
-func newKernel(cpu *core.CPU, params Params, pol Policy) *Kernel {
 	geo := cpu.Config().Geo()
-	k := &Kernel{cpu: cpu, file: cpu.CountersFile(), geo: geo, params: params, policy: pol}
+	k := &Kernel{cpu: cpu, file: cpu.CountersFile(), geo: geo, params: p, policy: opts.Policy}
 	k.view.k = k
 	for i := 0; i < geo.Total(); i++ {
 		cs := &cpuState{k: k, seat: geo.SeatOf(i), idx: i, lastProc: -1}

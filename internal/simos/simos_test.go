@@ -18,7 +18,7 @@ func aluSource(n int) *isa.SliceSource {
 
 func newMachine(ht bool) (*core.CPU, *Kernel) {
 	cpu := core.New(core.DefaultConfig(ht))
-	k := NewKernel(cpu, DefaultParams())
+	k := New(cpu, Options{})
 	return cpu, k
 }
 
@@ -59,7 +59,7 @@ func TestTimeslicingMultiplexesManyThreads(t *testing.T) {
 	cpu := core.New(core.DefaultConfig(false))
 	params := DefaultParams()
 	params.Timeslice = 2_000 // several quanta per 30k-µop thread
-	k := NewKernel(cpu, params)
+	k := New(cpu, Options{Params: params})
 	p := k.NewProcess("app")
 	threads := make([]*Thread, 4)
 	for i := range threads {
@@ -159,7 +159,7 @@ func TestProcessSwitchFlushesFrontEnd(t *testing.T) {
 		cpu := core.New(core.DefaultConfig(false))
 		params := DefaultParams()
 		params.Timeslice = 5_000
-		k := NewKernel(cpu, params)
+		k := New(cpu, Options{Params: params})
 		if procs == 1 {
 			p := k.NewProcess("app")
 			p.Spawn("t0", aluSource(100_000))

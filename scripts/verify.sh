@@ -5,8 +5,9 @@
 # must pass. On top of that, the perfbench module must build and pass
 # its smoke test (every campaign cell's counters match perfbench/pins.go),
 # the packages that share state across goroutines — the harness
-# (solo-time singleflight, pooled CPUs) and the scheduler — must pass
-# under the race detector at short scale,
+# (solo-time singleflight, pooled CPUs), the scheduler and the campaign
+# service's cell executor — must pass under the race detector at short
+# scale,
 # the instrumented build (-tags checks, DESIGN.md §6) must pass its
 # probe suite with every invariant armed, the fault-injection build
 # (-tags faults, DESIGN.md §8) must pass its recovery suite, an
@@ -40,8 +41,8 @@ go test ./internal/core -run TestObsDisabledAllocFree -count=1
 echo "== sampled accuracy (goldens within declared tolerance) =="
 go test ./internal/harness ./internal/sampling -run Sampled -count=1
 
-echo "== race (harness + sched, short) =="
-go test -race -short ./internal/harness/... ./internal/sched/...
+echo "== race (harness + sched + service, short) =="
+go test -race -short ./internal/harness/... ./internal/sched/... ./internal/service/...
 
 echo "== invariant probes (-tags checks, short) =="
 go build -tags checks ./...
