@@ -231,13 +231,19 @@ func TestTraceCacheGeometry(t *testing.T) {
 	}
 }
 
+// lookupPC looks up the trace line holding µop pc, dividing as the core's
+// front end does on a line crossing.
+func lookupPC(tc *TraceCache, pc uint64, ctx int) (bool, int) {
+	return tc.LookupLine(pc/uint64(tc.Config().LineUops), ctx)
+}
+
 func TestTraceCacheHitMissLatency(t *testing.T) {
 	tc := NewTraceCache(DefaultTraceCacheConfig())
-	hit, lat := tc.Lookup(100, 0)
+	hit, lat := lookupPC(tc, 100, 0)
 	if hit || lat != DefaultTraceCacheConfig().MissPenalty {
 		t.Fatalf("cold lookup = (%v,%d), want (false,%d)", hit, lat, DefaultTraceCacheConfig().MissPenalty)
 	}
-	hit, lat = tc.Lookup(100, 0)
+	hit, lat = lookupPC(tc, 100, 0)
 	if !hit || lat != 1 {
 		t.Fatalf("warm lookup = (%v,%d), want (true,1)", hit, lat)
 	}
@@ -245,40 +251,40 @@ func TestTraceCacheHitMissLatency(t *testing.T) {
 
 func TestTraceCacheLineGrouping(t *testing.T) {
 	tc := NewTraceCache(DefaultTraceCacheConfig())
-	tc.Lookup(96, 0) // line 16 covers PCs 96..101
+	lookupPC(tc, 96, 0) // line 16 covers PCs 96..101
 	for pc := uint64(97); pc <= 101; pc++ {
-		if hit, _ := tc.Lookup(pc, 0); !hit {
+		if hit, _ := lookupPC(tc, pc, 0); !hit {
 			t.Fatalf("pc %d should share the trace line of pc 96", pc)
 		}
 	}
-	if hit, _ := tc.Lookup(102, 0); hit {
+	if hit, _ := lookupPC(tc, 102, 0); hit {
 		t.Fatal("pc 102 starts a new trace line and must miss")
 	}
 }
 
 func TestTraceCacheTagsPrivatePerContext(t *testing.T) {
 	tc := NewTraceCache(DefaultTraceCacheConfig())
-	tc.Lookup(500, 0)
-	hit, _ := tc.Lookup(500, 1)
+	lookupPC(tc, 500, 0)
+	hit, _ := lookupPC(tc, 500, 1)
 	if hit {
 		t.Fatal("default trace cache must not share lines across contexts")
 	}
 	shared := NewTraceCache(TraceCacheConfig{CapacityUops: 12288, LineUops: 6, Assoc: 8, SharedTags: true, MissPenalty: 22})
-	shared.Lookup(500, 0)
-	if hit, _ := shared.Lookup(500, 1); !hit {
+	lookupPC(shared, 500, 0)
+	if hit, _ := lookupPC(shared, 500, 1); !hit {
 		t.Fatal("SharedTags trace cache should hit across contexts")
 	}
 }
 
 func TestTraceCacheFlushThread(t *testing.T) {
 	tc := NewTraceCache(DefaultTraceCacheConfig())
-	tc.Lookup(64, 0)
-	tc.Lookup(4096, 1)
+	lookupPC(tc, 64, 0)
+	lookupPC(tc, 4096, 1)
 	tc.FlushThread(0)
-	if hit, _ := tc.Lookup(64, 0); hit {
+	if hit, _ := lookupPC(tc, 64, 0); hit {
 		t.Fatal("context 0 trace line should be flushed")
 	}
-	if hit, _ := tc.Lookup(4096, 1); !hit {
+	if hit, _ := lookupPC(tc, 4096, 1); !hit {
 		t.Fatal("context 1 trace line should survive")
 	}
 }

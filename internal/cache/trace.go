@@ -29,7 +29,7 @@ func DefaultTraceCacheConfig() TraceCacheConfig {
 // set-associative Cache with "byte addresses" measured in µop indices:
 // a µop at instruction address pc maps to trace line pc/LineUops.
 //
-// The front end calls Lookup once per fetched line; a miss costs
+// The front end calls LookupLine once per fetched line; a miss costs
 // MissPenalty cycles and one ITLB translation (performed by the caller,
 // matching the paper's description that the ITLB is consulted to access
 // the L2 cache when the machine misses the trace cache).
@@ -65,13 +65,13 @@ func NewTraceCache(cfg TraceCacheConfig) *TraceCache {
 // Config returns the trace cache geometry.
 func (t *TraceCache) Config() TraceCacheConfig { return t.cfg }
 
-// Lookup accesses the trace line containing pc for logical processor ctx.
-// It returns hit and the front-end latency in cycles.
-func (t *TraceCache) Lookup(pc uint64, ctx int) (hit bool, lat int) {
-	// PCs advance by one per µop (see the bytecode code layout), so
-	// dividing by LineUops groups consecutive µops into one trace line.
-	pc /= uint64(t.cfg.LineUops)
-	if t.inner.Access(pc, ctx) {
+// LookupLine accesses trace line line for logical processor ctx and
+// returns hit and the front-end latency in cycles. PCs advance by one per
+// µop (see the bytecode code layout), so the µop at pc lies in line
+// pc/LineUops; the caller divides, once per line crossing, because it
+// keeps the line's first PC to detect the next crossing anyway.
+func (t *TraceCache) LookupLine(line uint64, ctx int) (hit bool, lat int) {
+	if t.inner.Access(line, ctx) {
 		return true, t.inner.cfg.HitLatency
 	}
 	return false, t.cfg.MissPenalty

@@ -66,6 +66,25 @@ func TestResetClearsAudit(t *testing.T) {
 	}
 }
 
+// TestResetClearsHead: a run leaves in-flight µops, so head completions
+// are set; Reset must clear every entry (its own verifyActivity probe
+// would panic otherwise) and restart the rotation at cycle 0.
+func TestResetClearsHead(t *testing.T) {
+	cpu := New(DefaultConfig(true))
+	cpu.AttachFeed(0, &feed{src: &isa.SliceSource{Uops: mixedStream(10_000)}})
+	cpu.AttachFeed(1, &feed{src: &isa.SliceSource{Uops: mixedStream(10_000)}})
+	if _, err := cpu.Run(501); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if cpu.cores[0].head == [32]uint64{} {
+		t.Fatal("no head completion set mid-run; the test exercises nothing")
+	}
+	cpu.Reset()
+	if cpu.cores[0].head != [32]uint64{} || cpu.rot != 0 {
+		t.Fatalf("Reset left head %v, rotation %d", cpu.cores[0].head, cpu.rot)
+	}
+}
+
 // wantCheckPanic runs f and requires it to panic with a tagged invariant
 // diagnostic mentioning substr.
 func wantCheckPanic(t *testing.T, substr string, f func()) {
@@ -115,6 +134,16 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 		cpu := build()
 		cpu.ctxs[0].robCount = cpu.robCapV + 1
 		wantCheckPanic(t, "partition cap", cpu.verifyStep)
+	})
+	t.Run("head completion drift", func(t *testing.T) {
+		cpu := build()
+		cpu.cores[0].head[1]++
+		wantCheckPanic(t, "head completion", cpu.verifyActivity)
+	})
+	t.Run("rotation drift", func(t *testing.T) {
+		cpu := build()
+		cpu.rot = (cpu.rot + 1) % cpu.cpc
+		wantCheckPanic(t, "rotation", cpu.verifyActivity)
 	})
 	t.Run("counter divergence", func(t *testing.T) {
 		cpu := build()

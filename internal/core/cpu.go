@@ -38,47 +38,45 @@ type Feed interface {
 }
 
 // calendar bounds the number of µops beginning execution on any one cycle
-// (the issue-port model). Slots are tagged with their cycle so the ring
-// self-cleans lazily as the schedule advances. Each slot packs the tag and
-// the count into one word: the slot index already fixes a cycle's low 16
-// bits, so the high bits (cycle &^ mask) are the tag and the low 16 bits
-// hold the count of µops claimed on that cycle.
+// (the issue-port model): slot[uint16(cycle)] counts the µops claimed on
+// that cycle. Claims are only ever made inside the horizon (now, now +
+// calSlots), where each slot stands for exactly one cycle, and the clock
+// clears the slot of every cycle it reaches (tick), so a slot holds no
+// stale count from an earlier lap and needs no cycle tag. The ring is a
+// fixed-size array so indexing by uint16 needs no bounds check; at two
+// bytes a slot it is 128 KB per core, and the slots a cycle probes share
+// host cache lines.
 type calendar struct {
-	slot  []uint64
-	mask  uint64
-	width uint64
+	slot  *[calSlots]uint16
+	width int
 }
 
-func newCalendar(width int) *calendar {
-	const slots = 1 << 16
-	return &calendar{
-		slot:  make([]uint64, slots),
-		mask:  slots - 1,
-		width: uint64(width),
-	}
+const (
+	calSlots = 1 << 16
+	calMask  = calSlots - 1
+)
+
+func newCalendar(width int) calendar {
+	return calendar{slot: new([calSlots]uint16), width: width}
 }
 
 // schedule returns the first cycle >= want with a free issue slot and
-// claims it. Cycles beyond the ring horizon are admitted unconstrained
-// (they are rare, deeply memory-bound cases where ports are not the
-// bottleneck).
+// claims it. Cycles beyond the ring horizon (now + calSlots onward) are
+// admitted unconstrained (they are rare, deeply memory-bound cases where
+// ports are not the bottleneck).
 func (c *calendar) schedule(want, now uint64) uint64 {
-	for {
-		if want-now > c.mask {
-			return want
-		}
-		i := want & c.mask
-		s := c.slot[i]
-		if tag := want &^ c.mask; s&^c.mask != tag {
-			c.slot[i] = tag | 1
-			return want
-		}
-		if s&c.mask < c.width {
-			c.slot[i] = s + 1
-			return want
-		}
-		want++
+	if want-now > calMask {
+		return want
 	}
+	// want is inside the horizon, so probing forward reaches its end
+	// exactly; the horizon test is the loop bound.
+	for end := now + calSlots; want != end; want++ {
+		if s := &c.slot[uint16(want)]; int(*s) < c.width {
+			*s++
+			return want
+		}
+	}
+	return want
 }
 
 // robEntry is one in-flight µop: its completion cycle and the attributes
@@ -102,7 +100,7 @@ type coreBlock struct {
 	// ctxs are the core's contexts, in local order (global index lo+i).
 	ctxs []*context
 
-	cal  *calendar
+	cal  calendar
 	tc   *cache.TraceCache
 	hier *cache.Hierarchy // private L1D over the shared L2
 	itlb *tlb.TLB
@@ -142,6 +140,11 @@ type activity struct {
 	// act is Step's snapshot of the core's active contexts for this
 	// cycle: attached, with work in flight, buffered or runnable.
 	act uint32
+	// head[lid] is the completion cycle of the context's oldest in-flight
+	// µop, 0 while its ROB is empty (one entry per mask bit), kept at ROB
+	// push and retire so retirement can see that nothing is due without
+	// touching the context.
+	head [32]uint64
 }
 
 // context is the per-logical-processor state.
@@ -170,9 +173,12 @@ type context struct {
 
 	// Trace-line tracking: a TC lookup happens only when fetch crosses
 	// into a new trace line. lineBase is the first µop PC of the current
-	// line, so the crossing test is a subtract-and-compare instead of a
-	// divide per µop (trace lines hold 6 µops — not a power of two).
+	// line and line its index, so the crossing test is a subtract-and-
+	// compare instead of a divide per µop (trace lines hold 6 µops — not a
+	// power of two), and a fall-through into the next line needs no
+	// divide at all (crossLine).
 	lineBase uint64
+	line     uint64
 	haveLine bool
 
 	// ROB ring buffer.
@@ -183,7 +189,6 @@ type context struct {
 	loadsOut   int
 	storesOut  int
 	maxDone    uint64 // completion time of the latest-finishing µop in flight
-	lastAlloc  uint64 // completion time of the most recently allocated µop
 	inKernel   bool
 	deps       [depMask + 1]uint64
 	depIdx     uint64
@@ -192,10 +197,27 @@ type context struct {
 
 func (x *context) robEmpty() bool { return x.robCount == 0 }
 
+// crossLine moves the context's trace-line cursor to the line holding pc,
+// which lies outside the current line, and returns the new line's index:
+// the next line when fetch falls through into it, else pc/lineUops.
+func (x *context) crossLine(pc, lineUops uint64) uint64 {
+	if x.haveLine && pc-x.lineBase-lineUops < lineUops {
+		x.line++
+		x.lineBase += lineUops
+	} else {
+		x.line = pc / lineUops
+		x.lineBase, x.haveLine = x.line*lineUops, true
+	}
+	return x.line
+}
+
 // bit is the context's bit in its core's activity masks.
 func (x *context) bit() uint32 { return 1 << uint(x.lid) }
 
 func (x *context) robPush(e robEntry) {
+	if x.robCount == 0 {
+		x.cb.head[x.lid] = e.done
+	}
 	x.rob[x.robTail] = e
 	x.robTail++
 	if x.robTail == len(x.rob) {
@@ -235,8 +257,13 @@ type CPU struct {
 	dynPart                      bool
 	tcLineUops                   uint64
 	// cpc is the per-core context count: the modulus of the front-end
-	// and retirement rotations.
+	// and retirement rotations. rot is now % cpc, kept in step with the
+	// clock (tick) so the per-cycle rotation needs no divide.
 	cpc uint64
+	rot uint64
+	// lat is the base execution latency of each µop class (Params), the
+	// memory classes' 0 plus whatever the data hierarchy returns.
+	lat [16]int
 
 	// feedDirty marks the cached feed answers in each core's activity
 	// masks stale: set by every Fill call, AttachFeed, Reset and entry to
@@ -328,7 +355,29 @@ func New(cfg Config) *CPU {
 	c.dynPart = cfg.Partition == DynamicPartition
 	c.tcLineUops = uint64(cfg.TC.LineUops)
 	c.cpc = uint64(geo.ContextsPerCore)
+	p := &cfg.Params
+	c.lat[isa.Nop] = 1
+	for _, cls := range []isa.Class{isa.ALU, isa.Branch, isa.Call, isa.Ret, isa.Fence} {
+		c.lat[cls] = p.ALULat
+	}
+	c.lat[isa.Mul] = p.MulLat
+	c.lat[isa.FP] = p.FPLat
+	c.lat[isa.FPDiv] = p.FPDivLat
+	c.lat[isa.Syscall] = p.SyscallLatency
 	return c
+}
+
+// tick advances the clock one cycle, clearing each calendar's slot for
+// the cycle it reaches: no µop can be claimed there any more, and the
+// slot's next cycle is one lap ahead.
+func (c *CPU) tick() {
+	c.now++
+	if c.rot++; c.rot == c.cpc {
+		c.rot = 0
+	}
+	for _, cb := range c.cores {
+		cb.cal.slot[uint16(c.now)] = 0
+	}
 }
 
 // Reset returns the CPU to its just-built state while reusing every
@@ -339,7 +388,7 @@ func New(cfg Config) *CPU {
 // cleared. Feeds are detached; reattach with AttachFeed. Observers are
 // likewise detached; reattach with AttachObs.
 func (c *CPU) Reset() {
-	c.now = 0
+	c.now, c.rot = 0, 0
 	c.obs = nil
 	c.sampleStride = 0
 	c.nextSample = noSample
@@ -353,7 +402,7 @@ func (c *CPU) Reset() {
 		cb.decodeBusyUntil = 0
 		cb.totRob, cb.totLoads, cb.totStores = 0, 0, 0
 		cb.activity = activity{}
-		clear(cb.cal.slot)
+		clear(cb.cal.slot[:])
 		cb.tc.Reset()
 		cb.hier.Reset() // resets the private L1D and the shared L2 (idempotent)
 		cb.itlb.Reset()
@@ -366,6 +415,9 @@ func (c *CPU) Reset() {
 	}
 	c.dram.Reset()
 	c.file.Reset()
+	if check.Enabled && check.On {
+		c.verifyActivity()
+	}
 }
 
 // AttachFeed binds a µop feed to logical processor ctx (global index).
@@ -487,7 +539,7 @@ func (c *CPU) Step() bool {
 		// unblocker (a timer, another context) — but with no timers
 		// in the model a fully-blocked machine cannot recover.
 		c.file.Inc(counters.CyclesHalted)
-		c.now++
+		c.tick()
 		return true
 	}
 	if dualThread {
@@ -499,7 +551,7 @@ func (c *CPU) Step() bool {
 		c.file.Inc(counters.CyclesOS)
 	}
 
-	pref := int(c.now % c.cpc)
+	pref := int(c.rot)
 	for _, cb := range c.cores {
 		if cb.act != 0 {
 			c.fetchAllocate(cb, pref)
@@ -513,7 +565,7 @@ func (c *CPU) Step() bool {
 	if check.Enabled && check.On {
 		c.verifyStep()
 	}
-	c.now++
+	c.tick()
 	return true
 }
 
@@ -554,7 +606,8 @@ func (c *CPU) fetchAllocate(cb *coreBlock, pref int) {
 // predictor see only that core's contexts.
 func (c *CPU) fetchInto(x *context) int {
 	cb := x.cb
-	if x.blockedUntil > c.now || cb.decodeBusyUntil > c.now {
+	now := c.now
+	if x.blockedUntil > now || cb.decodeBusyUntil > now {
 		return 0
 	}
 	if x.drainFence {
@@ -567,14 +620,20 @@ func (c *CPU) fetchInto(x *context) int {
 		}
 		x.drainFence = false
 	}
-	allocated := 0
+	// Loop invariants, hoisted: the per-µop body reads only locals and
+	// the context.
 	p := &c.cfg.Params
-	for allocated < p.FetchUops {
+	fetch := p.FetchUops
+	dynPart := c.dynPart
+	lineUops := c.tcLineUops
+	lid := x.lid
+	allocated := 0
+	for allocated < fetch {
 		if x.bufPos >= x.bufLen {
 			if x.feed == nil {
 				break
 			}
-			n := x.feed.Fill(c.now, x.buf)
+			n := x.feed.Fill(now, x.buf)
 			c.feedDirty = true
 			if n == 0 {
 				break
@@ -587,11 +646,12 @@ func (c *CPU) fetchInto(x *context) int {
 			x.bufPos, x.bufLen = 0, n
 		}
 		u := &x.buf[x.bufPos]
+		cls := u.Class
 
 		// Back-end space checks, against the incrementally-maintained
 		// per-core totals under dynamic partitioning and the hoisted
 		// per-context caps under static.
-		if c.dynPart {
+		if dynPart {
 			if cb.totRob >= p.ROBSize {
 				c.file.Inc(counters.ROBStallCycles)
 				break
@@ -600,8 +660,8 @@ func (c *CPU) fetchInto(x *context) int {
 			c.file.Inc(counters.ROBStallCycles)
 			break
 		}
-		if u.Class == isa.Load {
-			if c.dynPart {
+		if cls == isa.Load {
+			if dynPart {
 				if cb.totLoads >= p.LoadBufs {
 					c.file.Inc(counters.LSQStallCycles)
 					break
@@ -610,9 +670,8 @@ func (c *CPU) fetchInto(x *context) int {
 				c.file.Inc(counters.LSQStallCycles)
 				break
 			}
-		}
-		if u.Class == isa.Store {
-			if c.dynPart {
+		} else if cls == isa.Store {
+			if dynPart {
 				if cb.totStores >= p.StoreBufs {
 					c.file.Inc(counters.LSQStallCycles)
 					break
@@ -625,24 +684,24 @@ func (c *CPU) fetchInto(x *context) int {
 
 		// Trace-cache lookup on line crossings. The window test avoids
 		// the µop-index division except when fetch actually leaves the
-		// current line (backward jumps underflow and also trigger it).
-		if !x.haveLine || u.PC-x.lineBase >= c.tcLineUops {
-			hit, lat := cb.tc.Lookup(u.PC, x.lid)
-			x.lineBase, x.haveLine = u.PC-u.PC%c.tcLineUops, true
+		// current line (backward jumps underflow and also trigger it);
+		// the cache is handed the line index crossLine found.
+		if !x.haveLine || u.PC-x.lineBase >= lineUops {
+			hit, lat := cb.tc.LookupLine(x.crossLine(u.PC, lineUops), lid)
 			if !hit {
 				// Rebuild the trace from the unified L2 via the
 				// ITLB — the paper: "ITLB is responsible for
 				// translating instruction addresses ... to access
 				// the L2 cache when the machine misses the trace
 				// cache."
-				if !cb.itlb.Access(u.PC*4, x.lid) {
+				if !cb.itlb.Access(u.PC*4, lid) {
 					lat += c.cfg.ITLB.MissPenalty
 				}
-				lat += cb.hier.Fill(codeByteAddr(u.PC), x.lid, c.now)
-				x.blockedUntil = c.now + uint64(lat)
+				lat += cb.hier.Fill(codeByteAddr(u.PC), lid, now)
+				x.blockedUntil = now + uint64(lat)
 				// The decode/rebuild portion occupies the core's shared
 				// front end, stalling its other contexts too.
-				busy := c.now + uint64(c.cfg.TC.MissPenalty)
+				busy := now + uint64(c.cfg.TC.MissPenalty)
 				if busy > cb.decodeBusyUntil {
 					cb.decodeBusyUntil = busy
 				}
@@ -655,32 +714,22 @@ func (c *CPU) fetchInto(x *context) int {
 		allocated++
 		x.inKernel = u.Kernel
 
-		start := c.now + 1
+		start := now + 1
 		if u.DepDist > 0 && uint64(u.DepDist) <= x.depIdx {
 			if d := x.deps[(x.depIdx-uint64(u.DepDist))&depMask]; d > start {
 				start = d
 			}
 		}
 
-		lat := 0
-		kernelEntry := false
-		switch u.Class {
-		case isa.Nop:
-			lat = 1
-		case isa.ALU, isa.Branch, isa.Call, isa.Ret:
-			lat = p.ALULat
-		case isa.Mul:
-			lat = p.MulLat
-		case isa.FP:
-			lat = p.FPLat
-		case isa.FPDiv:
-			lat = p.FPDivLat
+		lat := c.lat[cls&15]
+		kernel := u.Kernel
+		switch cls {
 		case isa.Load, isa.Store:
-			if !cb.dtlb.Access(u.Addr, x.lid) {
+			if !cb.dtlb.Access(u.Addr, lid) {
 				lat += c.cfg.DTLB.MissPenalty
 			}
-			lat += cb.hier.Data(u.Addr, u.Class == isa.Store, x.lid, c.now)
-			if u.Class == isa.Load {
+			lat += cb.hier.Data(u.Addr, cls == isa.Store, lid, now)
+			if cls == isa.Load {
 				x.loadsOut++
 				cb.totLoads++
 			} else {
@@ -688,31 +737,27 @@ func (c *CPU) fetchInto(x *context) int {
 				cb.totStores++
 			}
 		case isa.Syscall:
-			lat = p.SyscallLatency
-			kernelEntry = true
+			kernel = true
+			x.drainFence = true
 		case isa.Fence:
-			lat = p.ALULat
 			if x.maxDone > start {
 				start = x.maxDone
 			}
 			c.file.Inc(counters.FenceUops)
-		}
-
-		start = cb.cal.schedule(start, c.now)
-		done := start + uint64(lat)
-		if u.Class == isa.Fence || u.Class == isa.Syscall {
 			x.drainFence = true
 		}
-		x.robPush(robEntry{done: done, kernel: u.Kernel || kernelEntry, load: u.Class == isa.Load, store: u.Class == isa.Store})
+
+		start = cb.cal.schedule(start, now)
+		done := start + uint64(lat)
+		x.robPush(robEntry{done: done, kernel: kernel, load: cls == isa.Load, store: cls == isa.Store})
 		cb.totRob++
 		if check.Enabled && check.On {
 			c.ckAlloc++
-			check.Assert(done >= start && start > c.now, "core",
-				"µop scheduled backwards: now %d, start %d, done %d", c.now, start, done)
+			check.Assert(done >= start && start > now, "core",
+				"µop scheduled backwards: now %d, start %d, done %d", now, start, done)
 		}
 		x.deps[x.depIdx&depMask] = done
 		x.depIdx++
-		x.lastAlloc = done
 		if done > x.maxDone {
 			x.maxDone = done
 		}
@@ -720,15 +765,15 @@ func (c *CPU) fetchInto(x *context) int {
 		// Control flow: consult the predictor; a mispredict stalls this
 		// context's front end until the branch resolves and the
 		// pipeline refills.
-		if u.Class.IsCtl() {
-			taken := u.Taken || u.Class == isa.Call || u.Class == isa.Ret
-			correct, pen := cb.pred.Predict(u.PC, taken, u.Target, u.Indirect, x.lid)
+		if cls.IsCtl() {
+			taken := u.Taken || cls == isa.Call || cls == isa.Ret
+			correct, pen := cb.pred.Predict(u.PC, taken, u.Target, u.Indirect, lid)
 			if !correct {
 				x.blockedUntil = done + uint64(pen)
 				break
 			}
 		}
-		if u.Class == isa.Syscall {
+		if cls == isa.Syscall {
 			break
 		}
 	}
@@ -746,7 +791,7 @@ func (c *CPU) fetchInto(x *context) int {
 // it stays exact on one core).
 func (c *CPU) retire() {
 	retired, osRetired := 0, 0
-	pref := int(c.now % c.cpc)
+	pref := int(c.rot)
 	for _, cb := range c.cores {
 		r, os := c.retireCore(cb, pref)
 		retired += r
@@ -779,30 +824,47 @@ func (c *CPU) retireCore(cb *coreBlock, pref int) (retired, osRetired int) {
 	// Rotating the mask right by pref puts the rotation order in bit
 	// order; bits below pref wrap to the top of the word, and the & 31
 	// folds their index back.
-	x := cb.ctxs[(pref+bits.TrailingZeros32(bits.RotateLeft32(busy, -pref)))&31]
+	l := (pref + bits.TrailingZeros32(bits.RotateLeft32(busy, -pref))) & 31
+	now := c.now
+	if cb.head[l] > now {
+		return 0, 0
+	}
+	// The head is due, so at least one µop retires. The ring cursor and
+	// the occupancy deltas stay in locals until the loop ends.
+	x := cb.ctxs[l]
+	rob, head, count := x.rob, x.robHead, x.robCount
 	width := c.cfg.Params.RetireWidth
-	for retired < width && x.robCount > 0 && x.rob[x.robHead].done <= c.now {
-		e := &x.rob[x.robHead]
-		x.robHead++
-		if x.robHead == len(x.rob) {
-			x.robHead = 0
+	loads, stores := 0, 0
+	for {
+		e := &rob[head]
+		if head++; head == len(rob) {
+			head = 0
 		}
-		x.robCount--
+		count--
 		if e.load {
-			x.loadsOut--
-			cb.totLoads--
+			loads++
 		}
 		if e.store {
-			x.storesOut--
-			cb.totStores--
+			stores++
 		}
 		if e.kernel {
 			osRetired++
 		}
 		retired++
+		if retired == width || count == 0 || rob[head].done > now {
+			break
+		}
 	}
-	if x.robCount == 0 {
+	x.robHead, x.robCount = head, count
+	x.loadsOut -= loads
+	x.storesOut -= stores
+	cb.totLoads -= loads
+	cb.totStores -= stores
+	if count == 0 {
 		cb.robBusy &^= x.bit()
+		cb.head[l] = 0
+	} else {
+		cb.head[l] = rob[head].done
 	}
 	x.retired += uint64(retired)
 	cb.totRob -= retired

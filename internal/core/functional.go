@@ -94,6 +94,9 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 	if err := c.drainPipeline(); err != nil {
 		return 0, 0, err
 	}
+	if check.Enabled && check.On {
+		c.verifyCalendarsEmpty()
+	}
 	haltStreak := uint64(0)
 	c.feedDirty = true // feeds may have changed since the last call
 	for executed < maxUops {
@@ -141,8 +144,12 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 				executed += uint64(n)
 				// Advance the clock by n µops at the configured CPI,
 				// carrying the sub-cycle remainder across chunks.
+				// The clock may jump many cycles at once without
+				// clearing calendar slots (tick): the drained pipeline
+				// left no claims on any cycle past now.
 				adv := uint64(n)*c.funcCPQ + c.funcFrac
 				c.now += adv >> funcCPQShift
+				c.rot = c.now % c.cpc
 				c.funcFrac = adv & (funcCPQDefault - 1)
 				progressed = true
 			}
@@ -158,7 +165,7 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 		// exactly as in Step — and with no timers a fully-blocked machine
 		// cannot recover.
 		halted++
-		c.now++
+		c.tick()
 		haltStreak++
 		if haltStreak > 1_000_000 {
 			return executed, halted, fmt.Errorf("core: machine halted for 1M cycles with undone feeds (deadlock)")
@@ -184,8 +191,7 @@ func (c *CPU) funcExec(i, max int, warm bool) int {
 		u := &x.buf[x.bufPos]
 		if warm {
 			if !x.haveLine || u.PC-x.lineBase >= c.tcLineUops {
-				hit, _ := cb.tc.Lookup(u.PC, x.lid)
-				x.lineBase, x.haveLine = u.PC-u.PC%c.tcLineUops, true
+				hit, _ := cb.tc.LookupLine(x.crossLine(u.PC, c.tcLineUops), x.lid)
 				if !hit {
 					cb.itlb.Access(u.PC*4, x.lid)
 					cb.hier.Fill(codeByteAddr(u.PC), x.lid, c.now)
@@ -260,7 +266,7 @@ func (c *CPU) drainPipeline() error {
 		if check.Enabled && check.On {
 			c.verifyStep()
 		}
-		c.now++
+		c.tick()
 	}
 	return nil
 }

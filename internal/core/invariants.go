@@ -65,13 +65,36 @@ func (c *CPU) verifyStep() {
 	}
 }
 
-// verifyActivity recomputes each core's activity masks from its contexts
-// and compares them with the incrementally kept ones. The cached feed
-// answers are compared against fresh Runnable/Done calls only while they
-// are not marked stale: a Fill this cycle may legitimately have changed
-// them, and the next Step re-polls.
+// verifyActivity recomputes each core's activity masks and head
+// completion array from its contexts and compares them with the
+// incrementally kept ones, and checks the divide-free rotation against
+// now % ContextsPerCore, each trace-line cursor's base against its line
+// index, and that the calendar slot of the current cycle was cleared. The cached feed answers are compared against
+// fresh Runnable/Done calls only while they are not marked stale: a Fill
+// this cycle may legitimately have changed them, and the next Step
+// re-polls. Reset runs it too, so a head entry Reset failed to clear is
+// caught before the next run starts.
 func (c *CPU) verifyActivity() {
+	check.Assert(c.rot == c.now%c.cpc, "core",
+		"rotation %d != now %d %% %d contexts per core", c.rot, c.now, c.cpc)
+	for _, x := range c.ctxs {
+		if x.haveLine {
+			check.Assert(x.lineBase == x.line*c.tcLineUops, "core",
+				"ctx %d trace-line cursor: base %d is not line %d × %d", x.cb.lo+x.lid, x.lineBase, x.line, c.tcLineUops)
+		}
+	}
 	for _, cb := range c.cores {
+		check.Assert(cb.cal.slot[uint16(c.now)] == 0, "core",
+			"core %d calendar slot of the current cycle %d holds %d claims", cb.id, c.now, cb.cal.slot[uint16(c.now)])
+		for l := range cb.head {
+			var want uint64
+			if l < len(cb.ctxs) && cb.ctxs[l].robCount > 0 {
+				x := cb.ctxs[l]
+				want = x.rob[x.robHead].done
+			}
+			check.Assert(cb.head[l] == want, "core",
+				"core %d ctx %d head completion %d != ROB head %d", cb.id, l, cb.head[l], want)
+		}
 		var attached, rob, buf, kern, run, live uint32
 		for _, x := range cb.ctxs {
 			b := x.bit()
@@ -107,6 +130,19 @@ func (c *CPU) verifyActivity() {
 				"core %d cached feedRun mask %#x != fresh Runnable %#x", cb.id, cb.feedRun, run)
 			check.Assert(cb.feedLive == live, "core",
 				"core %d cached feedLive mask %#x != fresh !Done %#x", cb.id, cb.feedLive, live)
+		}
+	}
+}
+
+// verifyCalendarsEmpty checks that no calendar slot holds a claim once
+// the pipeline has drained: every claimed cycle has been reached and
+// cleared, which is what lets functional mode jump the clock.
+func (c *CPU) verifyCalendarsEmpty() {
+	for _, cb := range c.cores {
+		for i, n := range cb.cal.slot {
+			if n != 0 {
+				check.Failf("core", "core %d calendar slot %d holds %d claims with the pipeline drained", cb.id, i, n)
+			}
 		}
 	}
 }

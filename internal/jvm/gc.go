@@ -142,7 +142,7 @@ func (g *gcState) emit(buf []isa.Uop, n *int, u isa.Uop) {
 }
 
 // collectRoots seeds the mark stack from globals and every thread's
-// frames (locals and operand stacks, via their reference bitmaps).
+// frames (locals and operand stacks, via their slots' reference bits).
 func (g *gcState) collectRoots() {
 	vm := g.vm
 	for i, v := range vm.globals {
@@ -156,10 +156,9 @@ func (g *gcState) collectRoots() {
 		}
 		for fi := 0; fi < t.depth; fi++ {
 			f := &t.frames[fi]
-			limit := f.m.NLocals + f.sp
-			for i := 0; i < limit; i++ {
-				if f.refs[i] {
-					g.markAddr(f.regs[i])
+			for _, sl := range f.slots[:f.sp] {
+				if sl.ref {
+					g.markAddr(sl.v)
 				}
 			}
 		}

@@ -15,33 +15,27 @@ import (
 // sits between user code and kernel code.
 const runtimeCodeBase = 1 << 28
 
+// slot is one local or operand-stack entry: its value, the producer µop
+// index its DepDist is measured from, and whether it holds a reference
+// (a GC root).
+type slot struct {
+	v    uint64
+	prod uint64
+	ref  bool
+}
+
 // frame is one method activation.
 type frame struct {
 	m   *bytecode.Method
 	pc  int
 	ret uint64 // µop PC the matching Ret jumps back to
 
-	// regs holds locals then operand stack; refs/prods are the parallel
-	// reference bitmap (for GC) and producer µop indices (for DepDist).
-	regs  []uint64
-	refs  []bool
-	prods []uint64
-	sp    int // operand stack pointer, offset from m.NLocals
+	// slots holds the locals, then the operand stack; sp is the absolute
+	// index of the first free stack slot (m.NLocals when the stack is
+	// empty). The collector scans slots[:sp] for roots.
+	slots []slot
+	sp    int
 }
-
-func (f *frame) push(v uint64, ref bool, prod uint64) {
-	i := f.m.NLocals + f.sp
-	f.regs[i], f.refs[i], f.prods[i] = v, ref, prod
-	f.sp++
-}
-
-func (f *frame) pop() (v uint64, ref bool, prod uint64) {
-	f.sp--
-	i := f.m.NLocals + f.sp
-	return f.regs[i], f.refs[i], f.prods[i]
-}
-
-func (f *frame) peek(back int) uint64 { return f.regs[f.m.NLocals+f.sp-1-back] }
 
 // Thread is a Java thread: an isa.Source whose Fill interprets bytecode
 // and emits µops.
@@ -162,36 +156,53 @@ func (t *Thread) Name() string { return t.name }
 // Instructions returns how many bytecodes the thread has executed.
 func (t *Thread) Instructions() uint64 { return t.instrs }
 
-// pushFrame activates m with args in its first local slots. Frame storage
-// is pooled per thread; hot call paths allocate nothing in steady state.
-func (t *Thread) pushFrame(m *bytecode.Method, args []uint64, argRefs []bool) {
+// pushFrame activates m with its locals cleared and an empty operand
+// stack, and returns the new frame, valid until the next pushFrame. Frame
+// storage is pooled per thread; hot call paths allocate nothing in steady
+// state. Only the locals are cleared: the operand stack is always written
+// before it is read, and the collector never scans past sp.
+func (t *Thread) pushFrame(m *bytecode.Method) *frame {
 	if t.depth == len(t.frames) {
 		t.frames = append(t.frames, frame{})
 	}
 	f := &t.frames[t.depth]
 	t.depth++
 	need := m.NLocals + m.MaxStack + 1
-	if cap(f.regs) < need {
-		f.regs = make([]uint64, need)
-		f.refs = make([]bool, need)
-		f.prods = make([]uint64, need)
+	if cap(f.slots) < need {
+		f.slots = make([]slot, need)
 	}
-	f.regs = f.regs[:need]
-	f.refs = f.refs[:need]
-	f.prods = f.prods[:need]
-	for i := range f.regs {
-		f.regs[i], f.refs[i], f.prods[i] = 0, false, 0
+	f.slots = f.slots[:need]
+	clear(f.slots[:m.NLocals])
+	f.m, f.pc, f.sp, f.ret = m, 0, m.NLocals, 0
+	return f
+}
+
+// invoke pops callee's arguments off the active frame's operand stack
+// straight into the locals of a new frame for callee, which returns to µop
+// PC ret. It returns the largest producer index among the arguments: the
+// call's spill store depends on all of them. The callee's argument slots
+// start with no producer, as a fresh frame's locals do.
+func (t *Thread) invoke(callee *bytecode.Method, ret uint64) (pmax uint64) {
+	if t.depth == len(t.frames) {
+		t.frames = append(t.frames, frame{})
 	}
-	copy(f.regs, args)
-	copy(f.refs, argRefs)
-	f.m, f.pc, f.sp, f.ret = m, 0, 0, 0
+	caller := &t.frames[t.depth-1]
+	f := t.pushFrame(callee)
+	f.ret = ret
+	caller.sp -= callee.NArgs
+	for i, a := range caller.slots[caller.sp : caller.sp+callee.NArgs] {
+		f.slots[i] = slot{v: a.v, ref: a.ref}
+		pmax = maxProd(pmax, a.prod)
+	}
+	return pmax
 }
 
 // vmError panics with thread/method/pc context: in a verified program it
-// indicates a benchmark bug, so it is loud by design.
-func (t *Thread) vmError(format string, args ...any) {
+// indicates a benchmark bug, so it is loud by design. pc is the faulting
+// instruction of the active frame.
+func (t *Thread) vmError(pc int, format string, args ...any) {
 	f := &t.frames[t.depth-1]
-	prefix := fmt.Sprintf("jvm: thread %q %s@%d: ", t.name, f.m.Name, f.pc)
+	prefix := fmt.Sprintf("jvm: thread %q %s@%d: ", t.name, f.m.Name, pc)
 	panic(prefix + fmt.Sprintf(format, args...))
 }
 
@@ -218,7 +229,7 @@ func (t *Thread) Fill(buf []isa.Uop) (int, bool) {
 			t.vm.enterSafepoint(t)
 			return n, false
 		}
-		n += t.step(buf[n:])
+		n = t.run(buf, n)
 		if t.blocked != notBlocked {
 			return n, false
 		}
@@ -236,23 +247,35 @@ func maxProd(a, b uint64) uint64 {
 func f64(v uint64) float64 { return math.Float64frombits(v) }
 func u64(v float64) uint64 { return math.Float64bits(v) }
 
-// emit writes u into buf[*n] with the producer-index dependency prod
-// (0 = none) translated into a DepDist, and returns the new µop's own
-// producer index. Loads pick up an additional dependency on the most
-// recent store to the same address; stores record themselves.
-func (t *Thread) emit(buf []isa.Uop, n *int, u isa.Uop, prod uint64) uint64 {
-	buf[*n] = u
-	p := t.fixDeps(&buf[*n], prod)
-	*n++
-	return p
+// emit writes u into buf[n] with the producer-index dependency prod
+// (0 = none) translated into a DepDist, and returns n+1; the new µop's own
+// producer index is then t.uopIdx.
+func (t *Thread) emit(buf []isa.Uop, n int, u isa.Uop, prod uint64) int {
+	buf[n] = u
+	t.fixDeps(&buf[n], prod)
+	return n + 1
+}
+
+// emitReg is emit for a µop that accesses no memory, which never touches
+// the store table: small enough to inline, it stores the µop once and
+// fixes its DepDist in place.
+func (t *Thread) emitReg(buf []isa.Uop, n int, u isa.Uop, prod uint64) int {
+	buf[n] = u
+	t.uopIdx++
+	if prod > 0 {
+		if d := t.uopIdx - prod; d <= 255 {
+			buf[n].DepDist = uint8(d)
+		}
+	}
+	return n + 1
 }
 
 // fixDeps resolves the dependency bookkeeping for a µop already written
-// into the fill buffer, mutating only its DepDist. It is the per-µop tail
-// of emit, split out and given a pointer receiver argument so the
-// instruction dispatch loop pays one small inlinable call per µop instead
-// of copying the 32-byte Uop through two call frames.
-func (t *Thread) fixDeps(u *isa.Uop, prod uint64) uint64 {
+// into the fill buffer, mutating only its DepDist: emit stores the µop
+// first and fixes it in place, so no 32-byte Uop is copied through a
+// call frame. Loads pick up an additional dependency on the most recent
+// store to the same address; stores record themselves.
+func (t *Thread) fixDeps(u *isa.Uop, prod uint64) {
 	t.uopIdx++
 	if u.Class == isa.Load {
 		slot := (u.Addr >> 3) & 15
@@ -270,540 +293,555 @@ func (t *Thread) fixDeps(u *isa.Uop, prod uint64) uint64 {
 		t.stTag[slot] = u.Addr
 		t.stProd[slot] = t.uopIdx
 	}
-	return t.uopIdx
 }
 
-// step executes one bytecode instruction, emitting its µops into buf and
-// returning how many were written.
-func (t *Thread) step(buf []isa.Uop) int {
+// run interprets the active frame from its pc, emitting µops into buf
+// from index n, and returns the new fill index. The frame, its code and
+// slots, the pc and the stack top live in locals for the whole loop,
+// which runs until a call, a return, a block or exit, a pending safepoint,
+// or until buf has less than maxSlowPathUops of room left; the last two
+// are tested between instructions, exactly where Fill tests them.
+func (t *Thread) run(buf []isa.Uop, n int) int {
+	vm := t.vm
+	h := vm.heap
 	f := &t.frames[t.depth-1]
-	ins := f.m.Code[f.pc]
-	pcBase := f.m.CodeBase + uint64(f.m.UopOff[f.pc])
-	t.instrs++
-	if t.sbLen > 0 && t.instrs-t.sbStamp >= sbAgeInstrs {
-		t.sbDrain()
+	m := f.m
+	code, uopOff, codeBase := m.Code, m.UopOff, m.CodeBase
+	s, sp, pc := f.slots, f.sp, f.pc
+	// put emits u as the current instruction's next µop, and putMem a
+	// load or store µop. An instruction's µops occupy consecutive PCs
+	// from its own, so with pcb set to that PC minus the fill index of
+	// its first µop, the µop at buf[n] has PC pcb+n.
+	var pcb uint64
+	put := func(n int, u isa.Uop, prod uint64) int {
+		u.PC = pcb + uint64(n)
+		return t.emitReg(buf, n, u, prod)
 	}
-
-	n := 0
-	// put emits a µop at the instruction's next method-PC slot, writing
-	// it into buf in place (see fixDeps).
-	put := func(u isa.Uop, prod uint64) uint64 {
-		u.PC = pcBase + uint64(n)
-		buf[n] = u
-		p := t.fixDeps(&buf[n], prod)
-		n++
-		return p
+	putMem := func(n int, u isa.Uop, prod uint64) int {
+		u.PC = pcb + uint64(n)
+		return t.emit(buf, n, u, prod)
 	}
-	// prev returns the producer index of the most recently emitted µop.
-	prev := func() uint64 { return t.uopIdx }
+	for {
+		ins := code[pc]
+		pcb = codeBase + uint64(uopOff[pc]) - uint64(n)
+		t.instrs++
+		if t.sbLen > 0 && t.instrs-t.sbStamp >= sbAgeInstrs {
+			t.sbDrain()
+		}
+		next := pc + 1
 
-	next := f.pc + 1
-	h := t.vm.heap
-
-	switch ins.Op {
-	case bytecode.Nop:
-		put(isa.Uop{Class: isa.Nop}, 0)
-
-	case bytecode.Iconst:
-		p := put(isa.Uop{Class: isa.ALU}, 0)
-		f.push(uint64(int64(ins.A)), false, p)
-
-	case bytecode.Fconst:
-		p := put(isa.Uop{Class: isa.ALU}, 0)
-		f.push(u64(f.m.FPool[ins.A]), false, p)
-
-	case bytecode.Iload:
-		p := put(isa.Uop{Class: isa.ALU}, f.prods[ins.A])
-		f.push(f.regs[ins.A], f.refs[ins.A], p)
-
-	case bytecode.Istore:
-		v, ref, pv := f.pop()
-		p := put(isa.Uop{Class: isa.ALU}, pv)
-		f.regs[ins.A], f.refs[ins.A], f.prods[ins.A] = v, ref, p
-
-	case bytecode.Iadd, bytecode.Isub, bytecode.Imul, bytecode.Idiv, bytecode.Irem,
-		bytecode.Iand, bytecode.Ior, bytecode.Ixor, bytecode.Ishl, bytecode.Ishr:
-		b, _, pb := f.pop()
-		a, _, pa := f.pop()
-		x, y := int64(a), int64(b)
-		var r int64
-		cls := isa.ALU
 		switch ins.Op {
-		case bytecode.Iadd:
-			r = x + y
-		case bytecode.Isub:
-			r = x - y
-		case bytecode.Imul:
-			r, cls = x*y, isa.Mul
-		case bytecode.Idiv:
-			if y == 0 {
-				t.vmError("integer division by zero")
+		case bytecode.Nop:
+			n = put(n, isa.Uop{Class: isa.Nop}, 0)
+
+		case bytecode.Iconst:
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			s[sp] = slot{uint64(int64(ins.A)), t.uopIdx, false}
+			sp++
+
+		case bytecode.Fconst:
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			s[sp] = slot{u64(m.FPool[ins.A]), t.uopIdx, false}
+			sp++
+
+		case bytecode.Iload:
+			l := s[ins.A]
+			n = put(n, isa.Uop{Class: isa.ALU}, l.prod)
+			s[sp] = slot{l.v, t.uopIdx, l.ref}
+			sp++
+
+		case bytecode.Istore:
+			sp--
+			v := s[sp]
+			n = put(n, isa.Uop{Class: isa.ALU}, v.prod)
+			s[ins.A] = slot{v.v, t.uopIdx, v.ref}
+
+		case bytecode.Iadd, bytecode.Isub, bytecode.Imul, bytecode.Idiv, bytecode.Irem,
+			bytecode.Iand, bytecode.Ior, bytecode.Ixor, bytecode.Ishl, bytecode.Ishr:
+			sp -= 2
+			a, b := s[sp], s[sp+1]
+			x, y := int64(a.v), int64(b.v)
+			var r int64
+			cls := isa.ALU
+			switch ins.Op {
+			case bytecode.Iadd:
+				r = x + y
+			case bytecode.Isub:
+				r = x - y
+			case bytecode.Imul:
+				r, cls = x*y, isa.Mul
+			case bytecode.Idiv:
+				if y == 0 {
+					t.vmError(pc, "integer division by zero")
+				}
+				r, cls = x/y, isa.Mul
+			case bytecode.Irem:
+				if y == 0 {
+					t.vmError(pc, "integer remainder by zero")
+				}
+				r, cls = x%y, isa.Mul
+			case bytecode.Iand:
+				r = x & y
+			case bytecode.Ior:
+				r = x | y
+			case bytecode.Ixor:
+				r = x ^ y
+			case bytecode.Ishl:
+				r = x << uint64(y&63)
+			case bytecode.Ishr:
+				r = x >> uint64(y&63)
 			}
-			r, cls = x/y, isa.Mul
-		case bytecode.Irem:
-			if y == 0 {
-				t.vmError("integer remainder by zero")
+			n = put(n, isa.Uop{Class: cls}, maxProd(a.prod, b.prod))
+			s[sp] = slot{uint64(r), t.uopIdx, false}
+			sp++
+
+		case bytecode.Ineg:
+			a := &s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			*a = slot{uint64(-int64(a.v)), t.uopIdx, false}
+
+		case bytecode.Fadd, bytecode.Fsub, bytecode.Fmul, bytecode.Fdiv:
+			sp -= 2
+			a, b := s[sp], s[sp+1]
+			x, y := f64(a.v), f64(b.v)
+			var r float64
+			cls := isa.FP
+			switch ins.Op {
+			case bytecode.Fadd:
+				r = x + y
+			case bytecode.Fsub:
+				r = x - y
+			case bytecode.Fmul:
+				r = x * y
+			case bytecode.Fdiv:
+				r, cls = x/y, isa.FPDiv
 			}
-			r, cls = x%y, isa.Mul
-		case bytecode.Iand:
-			r = x & y
-		case bytecode.Ior:
-			r = x | y
-		case bytecode.Ixor:
-			r = x ^ y
-		case bytecode.Ishl:
-			r = x << uint64(y&63)
-		case bytecode.Ishr:
-			r = x >> uint64(y&63)
-		}
-		p := put(isa.Uop{Class: cls}, maxProd(pa, pb))
-		f.push(uint64(r), false, p)
+			n = put(n, isa.Uop{Class: cls}, maxProd(a.prod, b.prod))
+			s[sp] = slot{u64(r), t.uopIdx, false}
+			sp++
 
-	case bytecode.Ineg:
-		a, _, pa := f.pop()
-		p := put(isa.Uop{Class: isa.ALU}, pa)
-		f.push(uint64(-int64(a)), false, p)
+		case bytecode.Fneg:
+			a := &s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			*a = slot{u64(-f64(a.v)), t.uopIdx, false}
 
-	case bytecode.Fadd, bytecode.Fsub, bytecode.Fmul, bytecode.Fdiv:
-		b, _, pb := f.pop()
-		a, _, pa := f.pop()
-		x, y := f64(a), f64(b)
-		var r float64
-		cls := isa.FP
-		switch ins.Op {
-		case bytecode.Fadd:
-			r = x + y
-		case bytecode.Fsub:
-			r = x - y
-		case bytecode.Fmul:
-			r = x * y
-		case bytecode.Fdiv:
-			r, cls = x/y, isa.FPDiv
-		}
-		p := put(isa.Uop{Class: cls}, maxProd(pa, pb))
-		f.push(u64(r), false, p)
+		case bytecode.Fmath:
+			a := &s[sp-1]
+			x := f64(a.v)
+			var r float64
+			switch ins.A {
+			case bytecode.MathSqrt:
+				r = math.Sqrt(x)
+			case bytecode.MathSin:
+				r = math.Sin(x)
+			case bytecode.MathCos:
+				r = math.Cos(x)
+			case bytecode.MathExp:
+				r = math.Exp(x)
+			case bytecode.MathLog:
+				r = math.Log(x)
+			case bytecode.MathAbs:
+				r = math.Abs(x)
+			}
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			n = put(n, isa.Uop{Class: isa.ALU}, t.uopIdx)
+			n = put(n, isa.Uop{Class: isa.FPDiv}, t.uopIdx)
+			*a = slot{u64(r), t.uopIdx, false}
 
-	case bytecode.Fneg:
-		a, _, pa := f.pop()
-		p := put(isa.Uop{Class: isa.ALU}, pa)
-		f.push(u64(-f64(a)), false, p)
+		case bytecode.I2f:
+			a := &s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			*a = slot{u64(float64(int64(a.v))), t.uopIdx, false}
 
-	case bytecode.Fmath:
-		a, _, pa := f.pop()
-		x := f64(a)
-		var r float64
-		switch ins.A {
-		case bytecode.MathSqrt:
-			r = math.Sqrt(x)
-		case bytecode.MathSin:
-			r = math.Sin(x)
-		case bytecode.MathCos:
-			r = math.Cos(x)
-		case bytecode.MathExp:
-			r = math.Exp(x)
-		case bytecode.MathLog:
-			r = math.Log(x)
-		case bytecode.MathAbs:
-			r = math.Abs(x)
-		}
-		put(isa.Uop{Class: isa.ALU}, pa)
-		put(isa.Uop{Class: isa.ALU}, prev())
-		p := put(isa.Uop{Class: isa.FPDiv}, prev())
-		f.push(u64(r), false, p)
+		case bytecode.F2i:
+			a := &s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			*a = slot{uint64(int64(f64(a.v))), t.uopIdx, false}
 
-	case bytecode.I2f:
-		a, _, pa := f.pop()
-		p := put(isa.Uop{Class: isa.ALU}, pa)
-		f.push(u64(float64(int64(a))), false, p)
+		case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfLe,
+			bytecode.IfGt, bytecode.IfGe, bytecode.IfFLt, bytecode.IfFGt:
+			sp -= 2
+			a, b := s[sp], s[sp+1]
+			var cond bool
+			switch ins.Op {
+			case bytecode.IfEq:
+				cond = int64(a.v) == int64(b.v)
+			case bytecode.IfNe:
+				cond = int64(a.v) != int64(b.v)
+			case bytecode.IfLt:
+				cond = int64(a.v) < int64(b.v)
+			case bytecode.IfLe:
+				cond = int64(a.v) <= int64(b.v)
+			case bytecode.IfGt:
+				cond = int64(a.v) > int64(b.v)
+			case bytecode.IfGe:
+				cond = int64(a.v) >= int64(b.v)
+			case bytecode.IfFLt:
+				cond = f64(a.v) < f64(b.v)
+			case bytecode.IfFGt:
+				cond = f64(a.v) > f64(b.v)
+			}
+			n = put(n, isa.Uop{Class: isa.ALU}, maxProd(a.prod, b.prod))
+			n = put(n, isa.Uop{Class: isa.Branch, Taken: cond,
+				Target: codeBase + uint64(uopOff[ins.A])}, t.uopIdx)
+			if cond {
+				next = int(ins.A)
+			}
 
-	case bytecode.F2i:
-		a, _, pa := f.pop()
-		p := put(isa.Uop{Class: isa.ALU}, pa)
-		f.push(uint64(int64(f64(a))), false, p)
+		case bytecode.IfNull, bytecode.IfNonNull:
+			sp--
+			a := s[sp]
+			cond := (a.v == 0) == (ins.Op == bytecode.IfNull)
+			n = put(n, isa.Uop{Class: isa.ALU}, a.prod)
+			n = put(n, isa.Uop{Class: isa.Branch, Taken: cond,
+				Target: codeBase + uint64(uopOff[ins.A])}, t.uopIdx)
+			if cond {
+				next = int(ins.A)
+			}
 
-	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfLe,
-		bytecode.IfGt, bytecode.IfGe, bytecode.IfFLt, bytecode.IfFGt:
-		b, _, pb := f.pop()
-		a, _, pa := f.pop()
-		var cond bool
-		switch ins.Op {
-		case bytecode.IfEq:
-			cond = int64(a) == int64(b)
-		case bytecode.IfNe:
-			cond = int64(a) != int64(b)
-		case bytecode.IfLt:
-			cond = int64(a) < int64(b)
-		case bytecode.IfLe:
-			cond = int64(a) <= int64(b)
-		case bytecode.IfGt:
-			cond = int64(a) > int64(b)
-		case bytecode.IfGe:
-			cond = int64(a) >= int64(b)
-		case bytecode.IfFLt:
-			cond = f64(a) < f64(b)
-		case bytecode.IfFGt:
-			cond = f64(a) > f64(b)
-		}
-		put(isa.Uop{Class: isa.ALU}, maxProd(pa, pb))
-		put(isa.Uop{Class: isa.Branch, Taken: cond,
-			Target: f.m.CodeBase + uint64(f.m.UopOff[ins.A])}, prev())
-		if cond {
+		case bytecode.Goto:
+			n = put(n, isa.Uop{Class: isa.Branch, Taken: true,
+				Target: codeBase + uint64(uopOff[ins.A])}, 0)
 			next = int(ins.A)
-		}
 
-	case bytecode.IfNull, bytecode.IfNonNull:
-		a, _, pa := f.pop()
-		cond := (a == 0) == (ins.Op == bytecode.IfNull)
-		put(isa.Uop{Class: isa.ALU}, pa)
-		put(isa.Uop{Class: isa.Branch, Taken: cond,
-			Target: f.m.CodeBase + uint64(f.m.UopOff[ins.A])}, prev())
-		if cond {
-			next = int(ins.A)
-		}
+		case bytecode.Dup:
+			top := s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, top.prod)
+			s[sp] = slot{top.v, t.uopIdx, top.ref}
+			sp++
 
-	case bytecode.Goto:
-		put(isa.Uop{Class: isa.Branch, Taken: true,
-			Target: f.m.CodeBase + uint64(f.m.UopOff[ins.A])}, 0)
-		next = int(ins.A)
+		case bytecode.Pop:
+			sp--
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
 
-	case bytecode.Dup:
-		i := f.m.NLocals + f.sp - 1
-		p := put(isa.Uop{Class: isa.ALU}, f.prods[i])
-		f.push(f.regs[i], f.refs[i], p)
+		case bytecode.Swap:
+			s[sp-1], s[sp-2] = s[sp-2], s[sp-1]
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
 
-	case bytecode.Pop:
-		f.pop()
-		put(isa.Uop{Class: isa.ALU}, 0)
+		case bytecode.GetField:
+			r := &s[sp-1]
+			if r.v == 0 {
+				t.vmError(pc, "null pointer dereference (getfield %d)", ins.A)
+			}
+			idx := h.addrToIdx(r.v)
+			cls := vm.prog.Classes[h.objClass(idx)]
+			if int(ins.A) >= cls.NumFields {
+				t.vmError(pc, "field %d out of range for class %s", ins.A, cls.Name)
+			}
+			v := h.words[idx+headerWords+int(ins.A)]
+			isRef := cls.RefMask&(1<<uint(ins.A)) != 0
+			n = put(n, isa.Uop{Class: isa.ALU}, r.prod)
+			n = putMem(n, isa.Uop{Class: isa.Load,
+				Addr: r.v + uint64(headerWords+int(ins.A))*8}, t.uopIdx)
+			*r = slot{v, t.uopIdx, isRef}
 
-	case bytecode.Swap:
-		i := f.m.NLocals + f.sp - 1
-		j := i - 1
-		f.regs[i], f.regs[j] = f.regs[j], f.regs[i]
-		f.refs[i], f.refs[j] = f.refs[j], f.refs[i]
-		f.prods[i], f.prods[j] = f.prods[j], f.prods[i]
-		put(isa.Uop{Class: isa.ALU}, 0)
+		case bytecode.PutField:
+			sp -= 2
+			r, v := s[sp], s[sp+1]
+			if r.v == 0 {
+				t.vmError(pc, "null pointer dereference (putfield %d)", ins.A)
+			}
+			idx := h.addrToIdx(r.v)
+			cls := vm.prog.Classes[h.objClass(idx)]
+			if int(ins.A) >= cls.NumFields {
+				t.vmError(pc, "field %d out of range for class %s", ins.A, cls.Name)
+			}
+			h.words[idx+headerWords+int(ins.A)] = v.v
+			n = put(n, isa.Uop{Class: isa.ALU}, r.prod)
+			n = putMem(n, isa.Uop{Class: isa.Store,
+				Addr: r.v + uint64(headerWords+int(ins.A))*8}, maxProd(t.uopIdx, v.prod))
 
-	case bytecode.GetField:
-		r, _, pr := f.pop()
-		if r == 0 {
-			t.vmError("null pointer dereference (getfield %d)", ins.A)
-		}
-		idx := h.addrToIdx(r)
-		cls := t.vm.prog.Classes[h.objClass(idx)]
-		if int(ins.A) >= cls.NumFields {
-			t.vmError("field %d out of range for class %s", ins.A, cls.Name)
-		}
-		v := h.words[idx+headerWords+int(ins.A)]
-		isRef := cls.RefMask&(1<<uint(ins.A)) != 0
-		put(isa.Uop{Class: isa.ALU}, pr)
-		p := put(isa.Uop{Class: isa.Load,
-			Addr: r + uint64(headerWords+int(ins.A))*8}, prev())
-		f.push(v, isRef, p)
+		case bytecode.GetStatic:
+			v, fwd := t.sbLoad(ins.A)
+			if !fwd {
+				v = vm.globals[ins.A]
+			}
+			isRef := vm.prog.GlobalRefMask&(1<<uint(ins.A)) != 0
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			n = putMem(n, isa.Uop{Class: isa.Load,
+				Addr: vm.globalsBase + uint64(ins.A)*8}, t.uopIdx)
+			s[sp] = slot{v, t.uopIdx, isRef}
+			sp++
 
-	case bytecode.PutField:
-		v, _, pv := f.pop()
-		r, _, pr := f.pop()
-		if r == 0 {
-			t.vmError("null pointer dereference (putfield %d)", ins.A)
-		}
-		idx := h.addrToIdx(r)
-		cls := t.vm.prog.Classes[h.objClass(idx)]
-		if int(ins.A) >= cls.NumFields {
-			t.vmError("field %d out of range for class %s", ins.A, cls.Name)
-		}
-		h.words[idx+headerWords+int(ins.A)] = v
-		put(isa.Uop{Class: isa.ALU}, pr)
-		put(isa.Uop{Class: isa.Store,
-			Addr: r + uint64(headerWords+int(ins.A))*8}, maxProd(prev(), pv))
+		case bytecode.PutStatic:
+			sp--
+			v := s[sp]
+			t.sbPut(ins.A, v.v)
+			n = put(n, isa.Uop{Class: isa.ALU}, v.prod)
+			n = putMem(n, isa.Uop{Class: isa.Store,
+				Addr: vm.globalsBase + uint64(ins.A)*8}, t.uopIdx)
 
-	case bytecode.GetStatic:
-		v, fwd := t.sbLoad(ins.A)
-		if !fwd {
-			v = t.vm.globals[ins.A]
-		}
-		isRef := t.vm.prog.GlobalRefMask&(1<<uint(ins.A)) != 0
-		put(isa.Uop{Class: isa.ALU}, 0)
-		p := put(isa.Uop{Class: isa.Load,
-			Addr: t.vm.globalsBase + uint64(ins.A)*8}, prev())
-		f.push(v, isRef, p)
+		case bytecode.GetVolatile:
+			// A volatile load on TSO is an ordinary load — the trailing
+			// Fence is the acquire-ordering cost (JSR-133 cookbook), not a
+			// buffer drain.
+			v, fwd := t.sbLoad(ins.A)
+			if !fwd {
+				v = vm.globals[ins.A]
+			}
+			isRef := vm.prog.GlobalRefMask&(1<<uint(ins.A)) != 0
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			n = putMem(n, isa.Uop{Class: isa.Load,
+				Addr: vm.globalsBase + uint64(ins.A)*8}, t.uopIdx)
+			p := t.uopIdx
+			n = put(n, isa.Uop{Class: isa.Fence}, p)
+			s[sp] = slot{v, p, isRef}
+			sp++
 
-	case bytecode.PutStatic:
-		v, _, pv := f.pop()
-		t.sbPut(ins.A, v)
-		put(isa.Uop{Class: isa.ALU}, pv)
-		put(isa.Uop{Class: isa.Store,
-			Addr: t.vm.globalsBase + uint64(ins.A)*8}, prev())
+		case bytecode.PutVolatile:
+			sp--
+			v := s[sp]
+			vm.putVolatile(t, ins.A, v.v)
+			n = put(n, isa.Uop{Class: isa.ALU}, v.prod)
+			n = putMem(n, isa.Uop{Class: isa.Store,
+				Addr: vm.globalsBase + uint64(ins.A)*8}, t.uopIdx)
+			n = put(n, isa.Uop{Class: isa.Fence}, t.uopIdx)
 
-	case bytecode.GetVolatile:
-		// A volatile load on TSO is an ordinary load — the trailing
-		// Fence is the acquire-ordering cost (JSR-133 cookbook), not a
-		// buffer drain.
-		v, fwd := t.sbLoad(ins.A)
-		if !fwd {
-			v = t.vm.globals[ins.A]
-		}
-		isRef := t.vm.prog.GlobalRefMask&(1<<uint(ins.A)) != 0
-		put(isa.Uop{Class: isa.ALU}, 0)
-		p := put(isa.Uop{Class: isa.Load,
-			Addr: t.vm.globalsBase + uint64(ins.A)*8}, prev())
-		put(isa.Uop{Class: isa.Fence}, prev())
-		f.push(v, isRef, p)
+		case bytecode.Cas:
+			sp -= 2
+			exp, nv := s[sp], s[sp+1]
+			ok := vm.cas(t, ins.A, exp.v, nv.v)
+			addr := vm.globalsBase + uint64(ins.A)*8
+			n = put(n, isa.Uop{Class: isa.ALU}, maxProd(exp.prod, nv.prod))
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: addr}, t.uopIdx)
+			n = put(n, isa.Uop{Class: isa.Fence}, t.uopIdx)
+			// The store µop is emitted on failure too (lock cmpxchg writes
+			// the old value back), keeping the µop layout uniform.
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr}, t.uopIdx)
+			p := t.uopIdx
+			var r uint64
+			if ok {
+				r = 1
+				t.casFailStreak = 0
+			}
+			s[sp] = slot{r, p, false}
+			sp++
+			if !ok {
+				if t.casFailStreak++; t.casFailStreak >= casSpinLimit {
+					// Spin-then-block: after casSpinLimit consecutive
+					// failures the runtime yields into the kernel before
+					// the retry loop continues, so a starved CAS loop
+					// costs syscalls rather than monopolizing its context.
+					t.casFailStreak = 0
+					vm.file.Inc(counters.Syscalls)
+					n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 4, Class: isa.ALU}, p)
+					n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 5, Class: isa.Syscall}, 0)
+					n = t.emitKernelPath(buf, n, 8)
+				}
+			}
 
-	case bytecode.PutVolatile:
-		v, _, pv := f.pop()
-		t.vm.putVolatile(t, ins.A, v)
-		put(isa.Uop{Class: isa.ALU}, pv)
-		put(isa.Uop{Class: isa.Store,
-			Addr: t.vm.globalsBase + uint64(ins.A)*8}, prev())
-		put(isa.Uop{Class: isa.Fence}, prev())
+		case bytecode.New:
+			cls := vm.prog.Classes[ins.A]
+			idx := vm.allocate(t, cls.NumFields, kindObject, ins.A)
+			if idx < 0 {
+				f.pc, f.sp = pc, sp
+				return t.emitGCWaitPath(buf, n)
+			}
+			addr := h.idxToAddr(idx)
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			n = put(n, isa.Uop{Class: isa.ALU}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr + 8}, 0)
+			s[sp] = slot{addr, t.uopIdx, true}
+			sp++
 
-	case bytecode.Cas:
-		nv, _, pn := f.pop()
-		exp, _, pe := f.pop()
-		ok := t.vm.cas(t, ins.A, exp, nv)
-		addr := t.vm.globalsBase + uint64(ins.A)*8
-		put(isa.Uop{Class: isa.ALU}, maxProd(pe, pn))
-		put(isa.Uop{Class: isa.Load, Addr: addr}, prev())
-		put(isa.Uop{Class: isa.Fence}, prev())
-		// The store µop is emitted on failure too (lock cmpxchg writes
-		// the old value back), keeping the µop layout uniform.
-		p := put(isa.Uop{Class: isa.Store, Addr: addr}, prev())
-		var r uint64
-		if ok {
-			r = 1
-			t.casFailStreak = 0
-		} else if t.casFailStreak++; t.casFailStreak >= casSpinLimit {
-			// Spin-then-block: after casSpinLimit consecutive failures
-			// the runtime yields into the kernel before the retry loop
-			// continues, so a starved CAS loop costs syscalls rather
-			// than monopolizing its context.
-			t.casFailStreak = 0
-			t.vm.file.Inc(counters.Syscalls)
-			f.push(r, false, p)
-			f.pc = next
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 4, Class: isa.ALU}, p)
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 5, Class: isa.Syscall}, 0)
-			return n + t.emitKernelPath(buf[n:], 8)
-		}
-		f.push(r, false, p)
+		case bytecode.NewArray:
+			length := int64(s[sp-1].v)
+			if length < 0 {
+				t.vmError(pc, "negative array size %d", length)
+			}
+			var kind int32
+			switch ins.A {
+			case bytecode.KindInt:
+				kind = kindIntArray
+			case bytecode.KindFloat:
+				kind = kindFloatArray
+			default:
+				kind = kindRefArray
+			}
+			idx := vm.allocate(t, int(length), kind, int32(length))
+			if idx < 0 {
+				f.pc, f.sp = pc, sp
+				return t.emitGCWaitPath(buf, n)
+			}
+			l := &s[sp-1]
+			addr := h.idxToAddr(idx)
+			n = put(n, isa.Uop{Class: isa.ALU}, l.prod)
+			n = put(n, isa.Uop{Class: isa.ALU}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr + 8}, 0)
+			*l = slot{addr, t.uopIdx, true}
 
-	case bytecode.New:
-		cls := t.vm.prog.Classes[ins.A]
-		idx := t.vm.allocate(t, cls.NumFields, kindObject, ins.A)
-		if idx < 0 {
-			return n + t.emitGCWaitPath(buf[n:])
-		}
-		addr := h.idxToAddr(idx)
-		put(isa.Uop{Class: isa.ALU}, 0)
-		put(isa.Uop{Class: isa.ALU}, prev())
-		put(isa.Uop{Class: isa.Store, Addr: addr}, prev())
-		p := put(isa.Uop{Class: isa.Store, Addr: addr + 8}, 0)
-		f.push(addr, true, p)
+		case bytecode.ALoad:
+			sp -= 2
+			r, i := s[sp], s[sp+1]
+			v, addr, isRef := t.arrayAccess(pc, r.v, int64(i.v), "aload")
+			n = put(n, isa.Uop{Class: isa.ALU}, maxProd(i.prod, r.prod))
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: addr}, t.uopIdx)
+			s[sp] = slot{v, t.uopIdx, isRef}
+			sp++
 
-	case bytecode.NewArray:
-		length := int64(f.peek(0))
-		if length < 0 {
-			t.vmError("negative array size %d", length)
-		}
-		var kind int32
-		switch ins.A {
-		case bytecode.KindInt:
-			kind = kindIntArray
-		case bytecode.KindFloat:
-			kind = kindFloatArray
+		case bytecode.AStore:
+			sp -= 3
+			r, i, v := s[sp], s[sp+1], s[sp+2]
+			_, addr, _ := t.arrayAccess(pc, r.v, int64(i.v), "astore")
+			h.words[h.addrToIdx(addr)] = v.v
+			n = put(n, isa.Uop{Class: isa.ALU}, maxProd(i.prod, r.prod))
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: addr}, maxProd(t.uopIdx, v.prod))
+
+		case bytecode.ArrayLen:
+			r := &s[sp-1]
+			if r.v == 0 {
+				t.vmError(pc, "null pointer dereference (arraylen)")
+			}
+			idx := h.addrToIdx(r.v)
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: r.v + 8}, r.prod)
+			*r = slot{uint64(int64(h.arrayLen(idx))), t.uopIdx, false}
+
+		case bytecode.Call, bytecode.CallVirt:
+			callee := vm.prog.Methods[ins.A]
+			spill := t.stackBase + uint64(t.depth)*32
+			f.pc, f.sp = next, sp
+			pmax := t.invoke(callee, codeBase+uint64(uopOff[next]))
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: spill}, pmax)
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			return put(n, isa.Uop{Class: isa.Call, Target: callee.CodeBase,
+				Indirect: ins.Op == bytecode.CallVirt}, 0)
+
+		case bytecode.Ret, bytecode.RetVal:
+			var v slot
+			if ins.Op == bytecode.RetVal {
+				sp--
+				v = s[sp]
+			}
+			spill := t.stackBase + uint64(t.depth-1)*32
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: spill}, 0)
+			n = put(n, isa.Uop{Class: isa.Ret, Target: f.ret, Indirect: true}, t.uopIdx)
+			t.depth--
+			if t.depth > 0 && ins.Op == bytecode.RetVal {
+				caller := &t.frames[t.depth-1]
+				caller.slots[caller.sp] = slot{v.v, t.uopIdx, v.ref}
+				caller.sp++
+			}
+			return n // at depth 0 the thread exits on the next Fill iteration
+
+		case bytecode.MonEnter:
+			r := s[sp-1]
+			if r.v == 0 {
+				t.vmError(pc, "null pointer dereference (monenter)")
+			}
+			if !vm.monEnter(t, r.v) {
+				// Contended: futex path into the kernel; the instruction
+				// re-executes when the monitor is handed to this thread.
+				n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase, Class: isa.Load, Addr: r.v}, 0)
+				n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 1, Class: isa.Syscall}, 0)
+				f.pc, f.sp = pc, sp
+				return t.emitKernelPath(buf, n, 12)
+			}
+			sp--
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: r.v}, r.prod)
+			n = put(n, isa.Uop{Class: isa.Fence}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: r.v}, t.uopIdx)
+
+		case bytecode.MonExit:
+			sp--
+			r := s[sp]
+			if r.v == 0 {
+				t.vmError(pc, "null pointer dereference (monexit)")
+			}
+			vm.monExit(t, r.v)
+			n = putMem(n, isa.Uop{Class: isa.Load, Addr: r.v}, r.prod)
+			n = put(n, isa.Uop{Class: isa.Fence}, t.uopIdx)
+			n = putMem(n, isa.Uop{Class: isa.Store, Addr: r.v}, t.uopIdx)
+
+		case bytecode.ThreadStart:
+			callee := vm.prog.Methods[ins.A]
+			sp -= callee.NArgs
+			args := s[sp : sp+callee.NArgs]
+			var pmax uint64
+			for _, a := range args {
+				pmax = maxProd(pmax, a.prod)
+			}
+			id := vm.threadStart(t, callee, args)
+			n = put(n, isa.Uop{Class: isa.ALU}, pmax)
+			n = put(n, isa.Uop{Class: isa.Syscall}, 0)
+			n = t.emitKernelPath(buf, n, 20)
+			s[sp] = slot{uint64(id), t.uopIdx, false}
+			sp++
+
+		case bytecode.ThreadJoin:
+			id := int(int64(s[sp-1].v))
+			if !vm.threadJoin(t, id) {
+				n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 2, Class: isa.ALU}, 0)
+				n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 3, Class: isa.Syscall}, 0)
+				f.pc, f.sp = pc, sp
+				return t.emitKernelPath(buf, n, 8)
+			}
+			sp--
+			n = put(n, isa.Uop{Class: isa.ALU}, 0)
+			n = put(n, isa.Uop{Class: isa.Syscall}, 0)
+
+		case bytecode.Halt:
+			n = put(n, isa.Uop{Class: isa.Nop}, 0)
+			t.depth = 0
+			return n
+
 		default:
-			kind = kindRefArray
+			t.vmError(pc, "unimplemented opcode %v", ins.Op)
 		}
-		idx := t.vm.allocate(t, int(length), kind, int32(length))
-		if idx < 0 {
-			return n + t.emitGCWaitPath(buf[n:])
+
+		pc = next
+		if n+maxSlowPathUops > len(buf) || vm.safepointPending(t) {
+			f.pc, f.sp = pc, sp
+			return n
 		}
-		_, _, pl := f.pop()
-		addr := h.idxToAddr(idx)
-		put(isa.Uop{Class: isa.ALU}, pl)
-		put(isa.Uop{Class: isa.ALU}, prev())
-		put(isa.Uop{Class: isa.Store, Addr: addr}, prev())
-		p := put(isa.Uop{Class: isa.Store, Addr: addr + 8}, 0)
-		f.push(addr, true, p)
-
-	case bytecode.ALoad:
-		i, _, pi := f.pop()
-		r, _, pr := f.pop()
-		v, addr, isRef := t.arrayAccess(r, int64(i), "aload")
-		put(isa.Uop{Class: isa.ALU}, maxProd(pi, pr))
-		p := put(isa.Uop{Class: isa.Load, Addr: addr}, prev())
-		f.push(v, isRef, p)
-
-	case bytecode.AStore:
-		v, _, pv := f.pop()
-		i, _, pi := f.pop()
-		r, _, pr := f.pop()
-		_, addr, _ := t.arrayAccess(r, int64(i), "astore")
-		h.words[h.addrToIdx(addr)] = v
-		put(isa.Uop{Class: isa.ALU}, maxProd(pi, pr))
-		put(isa.Uop{Class: isa.Store, Addr: addr}, maxProd(prev(), pv))
-
-	case bytecode.ArrayLen:
-		r, _, pr := f.pop()
-		if r == 0 {
-			t.vmError("null pointer dereference (arraylen)")
-		}
-		idx := h.addrToIdx(r)
-		p := put(isa.Uop{Class: isa.Load, Addr: r + 8}, pr)
-		f.push(uint64(int64(h.arrayLen(idx))), false, p)
-
-	case bytecode.Call, bytecode.CallVirt:
-		callee := t.vm.prog.Methods[ins.A]
-		args, refs, pmax := t.popArgs(f, callee.NArgs)
-		spill := t.stackBase + uint64(t.depth)*32
-		put(isa.Uop{Class: isa.Store, Addr: spill}, pmax)
-		put(isa.Uop{Class: isa.ALU}, 0)
-		put(isa.Uop{Class: isa.Call, Target: callee.CodeBase,
-			Indirect: ins.Op == bytecode.CallVirt}, 0)
-		f.pc = next
-		retPC := f.m.CodeBase + uint64(f.m.UopOff[f.pc])
-		t.pushFrame(callee, args, refs)
-		t.frames[t.depth-1].ret = retPC
-		return n
-
-	case bytecode.Ret, bytecode.RetVal:
-		var v uint64
-		var isRef bool
-		if ins.Op == bytecode.RetVal {
-			v, isRef, _ = f.pop()
-		}
-		spill := t.stackBase + uint64(t.depth-1)*32
-		put(isa.Uop{Class: isa.Load, Addr: spill}, 0)
-		put(isa.Uop{Class: isa.Ret, Target: f.ret, Indirect: true}, prev())
-		t.depth--
-		if t.depth == 0 {
-			return n // thread exits on the next Fill iteration
-		}
-		if ins.Op == bytecode.RetVal {
-			caller := &t.frames[t.depth-1]
-			caller.push(v, isRef, t.uopIdx)
-		}
-		return n
-
-	case bytecode.MonEnter:
-		r := f.peek(0)
-		if r == 0 {
-			t.vmError("null pointer dereference (monenter)")
-		}
-		if !t.vm.monEnter(t, r) {
-			// Contended: futex path into the kernel; the instruction
-			// re-executes when the monitor is handed to this thread.
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase, Class: isa.Load, Addr: r}, 0)
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 1, Class: isa.Syscall}, 0)
-			return n + t.emitKernelPath(buf[n:], 12)
-		}
-		_, _, pr := f.pop()
-		put(isa.Uop{Class: isa.Load, Addr: r}, pr)
-		put(isa.Uop{Class: isa.Fence}, prev())
-		put(isa.Uop{Class: isa.Store, Addr: r}, prev())
-
-	case bytecode.MonExit:
-		r, _, pr := f.pop()
-		if r == 0 {
-			t.vmError("null pointer dereference (monexit)")
-		}
-		t.vm.monExit(t, r)
-		put(isa.Uop{Class: isa.Load, Addr: r}, pr)
-		put(isa.Uop{Class: isa.Fence}, prev())
-		put(isa.Uop{Class: isa.Store, Addr: r}, prev())
-
-	case bytecode.ThreadStart:
-		callee := t.vm.prog.Methods[ins.A]
-		args, _, pmax := t.popArgs(f, callee.NArgs)
-		id := t.vm.threadStart(t, callee, args)
-		put(isa.Uop{Class: isa.ALU}, pmax)
-		put(isa.Uop{Class: isa.Syscall}, 0)
-		k := t.emitKernelPath(buf[n:], 20)
-		n += k
-		f.push(uint64(id), false, t.uopIdx)
-
-	case bytecode.ThreadJoin:
-		id := int(int64(f.peek(0)))
-		if !t.vm.threadJoin(t, id) {
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 2, Class: isa.ALU}, 0)
-			t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 3, Class: isa.Syscall}, 0)
-			return n + t.emitKernelPath(buf[n:], 8)
-		}
-		f.pop()
-		put(isa.Uop{Class: isa.ALU}, 0)
-		put(isa.Uop{Class: isa.Syscall}, 0)
-
-	case bytecode.Halt:
-		put(isa.Uop{Class: isa.Nop}, 0)
-		t.depth = 0
-		return n
-
-	default:
-		t.vmError("unimplemented opcode %v", ins.Op)
 	}
-
-	f.pc = next
-	return n
 }
 
-// popArgs pops nargs values (last argument on top) returning them in
-// declaration order plus the max producer index.
-func (t *Thread) popArgs(f *frame, nargs int) ([]uint64, []bool, uint64) {
-	args := make([]uint64, nargs)
-	refs := make([]bool, nargs)
-	var pmax uint64
-	for i := nargs - 1; i >= 0; i-- {
-		v, r, p := f.pop()
-		args[i], refs[i] = v, r
-		pmax = maxProd(pmax, p)
-	}
-	return args, refs, pmax
-}
-
-// arrayAccess validates r[i] and returns the element value, its simulated
-// address, and whether it is a reference.
-func (t *Thread) arrayAccess(r uint64, i int64, what string) (v, addr uint64, isRef bool) {
+// arrayAccess validates r[i] for the instruction at pc and returns the
+// element value, its simulated address, and whether it is a reference.
+func (t *Thread) arrayAccess(pc int, r uint64, i int64, what string) (v, addr uint64, isRef bool) {
 	if r == 0 {
-		t.vmError("null pointer dereference (%s)", what)
+		t.vmError(pc, "null pointer dereference (%s)", what)
 	}
 	h := t.vm.heap
 	idx := h.addrToIdx(r)
 	kind := h.objKind(idx)
 	if kind != kindIntArray && kind != kindFloatArray && kind != kindRefArray {
-		t.vmError("%s on non-array object", what)
+		t.vmError(pc, "%s on non-array object", what)
 	}
 	length := int64(h.arrayLen(idx))
 	if i < 0 || i >= length {
-		t.vmError("array index %d out of bounds [0,%d) (%s)", i, length, what)
+		t.vmError(pc, "array index %d out of bounds [0,%d) (%s)", i, length, what)
 	}
 	w := idx + headerWords + int(i)
 	return h.words[w], h.idxToAddr(w), kind == kindRefArray
 }
 
 // emitGCWaitPath emits the allocation slow path (runtime stub + kernel
-// entry) after the thread has been parked waiting for a collection.
-func (t *Thread) emitGCWaitPath(buf []isa.Uop) int {
-	n := 0
-	t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 8, Class: isa.ALU}, 0)
-	t.emit(buf, &n, isa.Uop{PC: runtimeCodeBase + 9, Class: isa.Syscall}, 0)
-	return n + t.emitKernelPath(buf[n:], 10)
+// entry) into buf from index n after the thread has been parked waiting
+// for a collection, and returns the new fill index.
+func (t *Thread) emitGCWaitPath(buf []isa.Uop, n int) int {
+	n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 8, Class: isa.ALU}, 0)
+	n = t.emit(buf, n, isa.Uop{PC: runtimeCodeBase + 9, Class: isa.Syscall}, 0)
+	return t.emitKernelPath(buf, n, 10)
 }
 
 // emitKernelPath emits count kernel-mode µops (the in-kernel half of a
-// syscall: futex, clone and sched-wakeup paths).
-func (t *Thread) emitKernelPath(buf []isa.Uop, count int) int {
+// syscall: futex, clone and sched-wakeup paths) into buf from index n and
+// returns the new fill index.
+func (t *Thread) emitKernelPath(buf []isa.Uop, n, count int) int {
 	base := uint64(simos.KernelCodeBase) + 2048
 	data := uint64(0xF800_0000) + uint64(t.id)<<12
-	n := 0
-	for n < count {
-		pc := base + uint64(n)
-		switch n % 4 {
+	for k := 0; k < count; k++ {
+		pc := base + uint64(k)
+		switch k % 4 {
 		case 0:
-			t.emit(buf, &n, isa.Uop{PC: pc, Class: isa.Load, Addr: data + uint64(n)*8, Kernel: true}, 0)
+			n = t.emit(buf, n, isa.Uop{PC: pc, Class: isa.Load, Addr: data + uint64(k)*8, Kernel: true}, 0)
 		case 2:
-			t.emit(buf, &n, isa.Uop{PC: pc, Class: isa.Store, Addr: data + 512 + uint64(n)*8, Kernel: true}, t.uopIdx)
+			n = t.emit(buf, n, isa.Uop{PC: pc, Class: isa.Store, Addr: data + 512 + uint64(k)*8, Kernel: true}, t.uopIdx)
 		default:
-			t.emit(buf, &n, isa.Uop{PC: pc, Class: isa.ALU, Kernel: true}, t.uopIdx)
+			n = t.emit(buf, n, isa.Uop{PC: pc, Class: isa.ALU, Kernel: true}, t.uopIdx)
 		}
 	}
 	return n

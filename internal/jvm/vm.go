@@ -166,25 +166,21 @@ func (vm *VM) Start() *Thread {
 }
 
 // newThread creates a Java thread executing m with the given arguments
-// and registers it with the OS.
-func (vm *VM) newThread(name string, m *bytecode.Method, args []uint64) *Thread {
+// and registers it with the OS. The arguments' reference bits come from
+// m's declaration; they start with no producer.
+func (vm *VM) newThread(name string, m *bytecode.Method, args []slot) *Thread {
 	if len(vm.threads) >= maxThreadCount {
 		panic("jvm: thread limit exceeded")
 	}
 	t := &Thread{vm: vm, id: len(vm.threads), name: name}
-	t.pushFrame(m, args, argRefs(m, args))
+	f := t.pushFrame(m)
+	for i, a := range args {
+		f.slots[i] = slot{v: a.v, ref: m.ArgRefMask&(1<<uint(i)) != 0}
+	}
 	t.stackBase = vm.stacksBase + uint64(t.id)*stackBytesPer
 	vm.threads = append(vm.threads, t)
 	t.osThread = vm.proc.Spawn(name, t)
 	return t
-}
-
-func argRefs(m *bytecode.Method, args []uint64) []bool {
-	refs := make([]bool, len(args))
-	for i := range args {
-		refs[i] = m.ArgRefMask&(1<<uint(i)) != 0
-	}
-	return refs
 }
 
 // blockThread parks t in the OS with the given reason. Blocking is a
@@ -347,7 +343,7 @@ func (vm *VM) cas(t *Thread, slot int32, expected, nv uint64) bool {
 
 // threadStart spawns a Java thread running method m with args and returns
 // its id.
-func (vm *VM) threadStart(t *Thread, m *bytecode.Method, args []uint64) int {
+func (vm *VM) threadStart(t *Thread, m *bytecode.Method, args []slot) int {
 	// Spawning is a release: the child must see every global store the
 	// parent made before the start.
 	t.sbDrain()

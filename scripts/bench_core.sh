@@ -36,8 +36,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pattern='BenchmarkSimSpeed|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkFunctionalSpeed|BenchmarkSampledCampaign|BenchmarkGeometryScaling|BenchmarkPolicySweep|BenchmarkSyncStress'
-pkgs='core cache sampling harness'
+pattern='BenchmarkSimSpeed|BenchmarkInterp|BenchmarkCacheAccess|BenchmarkHierarchyData|BenchmarkFunctionalSpeed|BenchmarkSampledCampaign|BenchmarkGeometryScaling|BenchmarkPolicySweep|BenchmarkSyncStress'
+pkgs='core cache jvm sampling harness'
 base=''
 while [ $# -gt 0 ]; do
 	case "$1" in
@@ -126,7 +126,7 @@ END {
 fi
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -count="$count" \
-	./internal/core/ ./internal/cache/ ./internal/sampling/ ./internal/harness/)"
+	./internal/core/ ./internal/cache/ ./internal/jvm/ ./internal/sampling/ ./internal/harness/)"
 echo "$raw"
 
 echo "$raw" | awk "$awklib"'
