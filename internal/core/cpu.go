@@ -261,8 +261,9 @@ type CPU struct {
 	// clock (tick) so the per-cycle rotation needs no divide.
 	cpc uint64
 	rot uint64
-	// lat is the base execution latency of each µop class (Params), the
-	// memory classes' 0 plus whatever the data hierarchy returns.
+	// lat is the base execution latency of each µop class (Params);
+	// loads and stores have 0 here and take theirs from the data
+	// hierarchy.
 	lat [16]int
 
 	// feedDirty marks the cached feed answers in each core's activity

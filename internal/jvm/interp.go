@@ -183,12 +183,9 @@ func (t *Thread) pushFrame(m *bytecode.Method) *frame {
 // call's spill store depends on all of them. The callee's argument slots
 // start with no producer, as a fresh frame's locals do.
 func (t *Thread) invoke(callee *bytecode.Method, ret uint64) (pmax uint64) {
-	if t.depth == len(t.frames) {
-		t.frames = append(t.frames, frame{})
-	}
-	caller := &t.frames[t.depth-1]
 	f := t.pushFrame(callee)
 	f.ret = ret
+	caller := &t.frames[t.depth-2] // taken after pushFrame may have grown frames
 	caller.sp -= callee.NArgs
 	for i, a := range caller.slots[caller.sp : caller.sp+callee.NArgs] {
 		f.slots[i] = slot{v: a.v, ref: a.ref}
@@ -207,7 +204,8 @@ func (t *Thread) vmError(pc int, format string, args ...any) {
 }
 
 // maxSlowPathUops bounds the µops one instruction can emit including
-// runtime/kernel slow paths; Fill reserves this much buffer per step.
+// runtime/kernel slow paths; the interpreter starts an instruction only
+// with this much buffer left.
 const maxSlowPathUops = 40
 
 // Fill implements isa.Source: it interprets bytecode, translating each

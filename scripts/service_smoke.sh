@@ -4,11 +4,12 @@
 # `service` job:
 #
 #   1. Run a reference sweep single-process with a journal.
-#   2. Start the daemon, submit the same campaign over HTTP, kill -9
-#      the daemon mid-campaign.
-#   3. Restart the daemon over the same data directory, wait for the
-#      resumed job to finish, and require its ledger to be
-#      byte-identical (as a line set) to the reference journal.
+#   2. Start the daemon, submit the same campaign over HTTP, and kill -9
+#      the daemon once the job's ledger holds a committed cell.
+#   3. Restart the daemon over the same data directory, require it to
+#      resume at least one ledgered cell, wait for the resumed job to
+#      finish, and require its ledger to be byte-identical (as a line
+#      set) to the reference journal.
 #   4. Re-submit the identical campaign and require every cell to be
 #      served from the digest cache.
 #   5. Drain the daemon with SIGTERM and check its clean shutdown.
@@ -79,11 +80,22 @@ wait_done() {
 	fi
 }
 
-echo "-- daemon run, killed -9 mid-campaign"
+echo "-- daemon run, killed -9 once a cell is in the ledger"
 start_daemon "$tmp/svc"
 curl -sf -X POST "http://$addr/jobs" -H 'Content-Type: application/json' \
     -d "$SPEC" > /dev/null
-sleep 1
+# Kill only after the job's ledger holds a committed cell, so the
+# restart below has ledgered cells to replay beside re-simulated ones
+# however fast or slow the host is.
+i=0
+until grep -qs '"status":"ok"' "$tmp/svc/jobs/j0001/journal.jsonl"; do
+	i=$((i + 1))
+	if [ "$i" -gt 1200 ]; then
+		echo "service_smoke: no cell committed to the ledger within 120 s" >&2
+		exit 1
+	fi
+	sleep 0.1
+done
 kill -9 "$dpid"
 wait "$dpid" 2>/dev/null || true
 dpid=""
@@ -93,6 +105,10 @@ start_daemon "$tmp/svc"
 wait_done j0001
 resumed=$(job_field j0001 resumed 2>/dev/null || echo 0)
 echo "   resumed $resumed ledgered cells, re-simulated the rest"
+if [ "$resumed" -lt 1 ]; then
+	echo "service_smoke: restart resumed no ledgered cell" >&2
+	exit 1
+fi
 
 sort "$tmp/ref/journal.jsonl" > "$tmp/ref.sorted"
 sort "$tmp/svc/jobs/j0001/journal.jsonl" > "$tmp/job.sorted"
