@@ -97,6 +97,9 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 	if check.Enabled && check.On {
 		c.verifyCalendarsEmpty()
 	}
+	// The clock jumps by whole chunks below; the rotation is brought back
+	// in step with it once, on the way out.
+	defer func() { c.rot = c.now % c.cpc }()
 	haltStreak := uint64(0)
 	c.feedDirty = true // feeds may have changed since the last call
 	for executed < maxUops {
@@ -149,7 +152,6 @@ func (c *CPU) RunFunctional(maxUops uint64, warm bool) (executed, halted uint64,
 				// left no claims on any cycle past now.
 				adv := uint64(n)*c.funcCPQ + c.funcFrac
 				c.now += adv >> funcCPQShift
-				c.rot = c.now % c.cpc
 				c.funcFrac = adv & (funcCPQDefault - 1)
 				progressed = true
 			}
