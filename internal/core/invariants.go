@@ -67,13 +67,14 @@ func (c *CPU) verifyStep() {
 
 // verifyActivity recomputes each core's activity masks and head
 // completion array from its contexts and compares them with the
-// incrementally kept ones, and checks the divide-free rotation against
-// now % ContextsPerCore, each trace-line cursor's base against its line
-// index, and that the calendar slot of the current cycle was cleared. The cached feed answers are compared against
-// fresh Runnable/Done calls only while they are not marked stale: a Fill
-// this cycle may legitimately have changed them, and the next Step
-// re-polls. Reset runs it too, so a head entry Reset failed to clear is
-// caught before the next run starts.
+// incrementally kept ones. It also checks the divide-free rotation
+// against now % ContextsPerCore, each trace-line cursor's base against
+// its line index, and that the calendar slot of the current cycle was
+// cleared. The cached feed answers are compared against fresh
+// Runnable/Done calls only while they are not marked stale: a Fill this
+// cycle may legitimately have changed them, and the next Step re-polls.
+// Reset runs it too, so a head entry Reset failed to clear is caught
+// before the next run starts.
 func (c *CPU) verifyActivity() {
 	check.Assert(c.rot == c.now%c.cpc, "core",
 		"rotation %d != now %d %% %d contexts per core", c.rot, c.now, c.cpc)
