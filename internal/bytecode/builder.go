@@ -32,10 +32,7 @@ func NewMethod(name string, nargs, nlocals int) *MethodBuilder {
 	if nlocals < nargs {
 		panic(fmt.Sprintf("bytecode: method %q: nlocals %d < nargs %d", name, nlocals, nargs))
 	}
-	return &MethodBuilder{
-		m:     &Method{Name: name, NArgs: nargs, NLocals: nlocals},
-		fpool: make(map[float64]int32),
-	}
+	return &MethodBuilder{m: &Method{Name: name, NArgs: nargs, NLocals: nlocals}}
 }
 
 // ArgRefs marks which argument slots carry references.
@@ -73,6 +70,9 @@ func (b *MethodBuilder) Const(v int32) *MethodBuilder { return b.Op(Iconst, v) }
 func (b *MethodBuilder) FConst(v float64) *MethodBuilder {
 	idx, ok := b.fpool[v]
 	if !ok {
+		if b.fpool == nil {
+			b.fpool = make(map[float64]int32)
+		}
 		idx = int32(len(b.m.FPool))
 		b.m.FPool = append(b.m.FPool, v)
 		b.fpool[v] = idx

@@ -7,15 +7,29 @@ import "fmt"
 // fall-through past the last instruction. It also computes each method's
 // MaxStack. Link calls it automatically.
 func (p *Program) Verify() error {
+	longest := 0
+	returns := make([]bool, len(p.Methods))
+	for i, m := range p.Methods {
+		longest = max(longest, len(m.Code))
+		returns[i] = hasReturnValue(m)
+	}
+	// One dataflow array serves every method in turn.
+	seen := make([]pcDepth, longest)
 	for _, m := range p.Methods {
-		if err := p.verifyMethod(m); err != nil {
+		if err := p.verifyMethod(m, seen[:len(m.Code)], returns); err != nil {
 			return fmt.Errorf("bytecode: %s: %w", m.Name, err)
 		}
 	}
 	return nil
 }
 
-func (p *Program) verifyMethod(m *Method) error {
+// pcDepth is the stack and monitor depth the dataflow first reached an
+// instruction with; stack -1 marks an unvisited instruction.
+type pcDepth struct{ stack, mons int32 }
+
+// verifyMethod checks m, using seen (one entry per instruction) as its
+// dataflow state; returns[i] is hasReturnValue of method i.
+func (p *Program) verifyMethod(m *Method, seen []pcDepth, returns []bool) error {
 	n := len(m.Code)
 	if n == 0 {
 		return fmt.Errorf("empty code")
@@ -86,10 +100,8 @@ func (p *Program) verifyMethod(m *Method) error {
 	// matched by a MonExit. The monitor dataflow is what turns an
 	// unbalanced MonEnter/MonExit pair into a structured link-time error
 	// instead of a runtime deadlock-by-cycle-budget.
-	depth := make([]int, n)
-	mons := make([]int, n)
-	for i := range depth {
-		depth[i] = -1 // unvisited
+	for i := range seen {
+		seen[i] = pcDepth{stack: -1}
 	}
 	type item struct{ pc, d, md int }
 	work := []item{{0, 0, 0}}
@@ -102,17 +114,16 @@ func (p *Program) verifyMethod(m *Method) error {
 			if pc >= n {
 				return fmt.Errorf("fall-through past end of code (depth %d)", d)
 			}
-			if depth[pc] != -1 {
-				if depth[pc] != d {
-					return fmt.Errorf("instr %d: inconsistent stack depth (%d vs %d)", pc, depth[pc], d)
+			if s := seen[pc]; s.stack != -1 {
+				if int(s.stack) != d {
+					return fmt.Errorf("instr %d: inconsistent stack depth (%d vs %d)", pc, s.stack, d)
 				}
-				if mons[pc] != md {
-					return fmt.Errorf("instr %d: inconsistent monitor depth (%d vs %d)", pc, mons[pc], md)
+				if int(s.mons) != md {
+					return fmt.Errorf("instr %d: inconsistent monitor depth (%d vs %d)", pc, s.mons, md)
 				}
 				break
 			}
-			depth[pc] = d
-			mons[pc] = md
+			seen[pc] = pcDepth{int32(d), int32(md)}
 			ins := m.Code[pc]
 
 			switch ins.Op {
@@ -131,7 +142,7 @@ func (p *Program) verifyMethod(m *Method) error {
 				callee := p.Methods[ins.A]
 				pops = callee.NArgs
 				pushes = 0
-				if hasReturnValue(callee) {
+				if returns[ins.A] {
 					pushes = 1
 				}
 			case ThreadStart:

@@ -210,6 +210,7 @@ func RunWithCPUConfig(b *bench.Benchmark, opts Options, cfg core.Config) (*Resul
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 	}
 	vm := jvm.New(prog, k, vmConfig(opts.Scale, 0))
+	defer vm.Release()
 	vm.Start()
 	var ro *obs.RunObs
 	if opts.Obs.Enabled() {
@@ -330,6 +331,9 @@ type repeatingFeeder struct {
 	// mutable state lives in the VM), and rebuilding it dominated the
 	// per-relaunch cost.
 	prog *bytecode.Program
+	// vm is the latest launch. Every earlier one has exited, and a VM
+	// gives its heap back when it exits; release covers this one.
+	vm *jvm.VM
 
 	lastStart   uint64
 	completions []uint64
@@ -355,12 +359,12 @@ func (rf *repeatingFeeder) launch() {
 	if rf.prog == nil {
 		rf.prog = rf.b.Build(1, rf.scale, uint64(1+rf.slot)<<26)
 	}
-	vm := jvm.New(rf.prog, rf.k, vmConfig(rf.scale, rf.slot))
+	rf.vm = jvm.New(rf.prog, rf.k, vmConfig(rf.scale, rf.slot))
 	if launchHook != nil {
-		launchHook(vm)
+		launchHook(rf.vm)
 	}
 	rf.lastStart = rf.cpu.Now()
-	main := vm.Start()
+	main := rf.vm.Start()
 	jvm.OnExit(main, func() {
 		rf.completions = append(rf.completions, rf.cpu.Now()-rf.lastStart)
 		if !rf.quotaMet() || !rf.partnerDone() {
@@ -369,6 +373,14 @@ func (rf *repeatingFeeder) launch() {
 		}
 		rf.stopped = true
 	})
+}
+
+// release gives back the heap of the latest launch, which is still
+// running when a pairing stops early (canceled, over budget, panicked).
+func (rf *repeatingFeeder) release() {
+	if rf.vm != nil {
+		rf.vm.Release()
+	}
 }
 
 // PairOptions configures the pairing protocol for one pairing. Engine
@@ -471,6 +483,7 @@ func measureSolo(b *bench.Benchmark, scale bench.Scale, runs int, plan sampling.
 		return 0, err
 	}
 	rf := &repeatingFeeder{b: b, scale: scale, slot: 0, k: k, cpu: cpu, maxRuns: runs + 2}
+	defer rf.release()
 	rf.launch()
 	ctrl := sampling.NewController(cpu, plan)
 	for !rf.stopped {
@@ -537,6 +550,8 @@ func runPairOn(cpu *core.CPU, a, b *bench.Benchmark, opts PairOptions) (*PairRes
 	fa := &repeatingFeeder{b: a, scale: opts.Scale, slot: 0, k: k, cpu: cpu, maxRuns: opts.Runs + 2}
 	fb := &repeatingFeeder{b: b, scale: opts.Scale, slot: 1, k: k, cpu: cpu, maxRuns: opts.Runs + 2}
 	fa.partner, fb.partner = fb, fa
+	defer fa.release()
+	defer fb.release()
 	fa.launch()
 	fb.launch()
 	var ro *obs.RunObs

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 	"weak"
 
 	"javasmt/internal/bench"
+	"javasmt/internal/core"
 	"javasmt/internal/jvm"
 )
 
@@ -50,4 +54,76 @@ func TestRelaunchedVMsAreReleased(t *testing.T) {
 		t.Fatalf("%d earlier VMs reachable at one launch (of %d launched), want at most %d", peak, len(launched), bound)
 	}
 	t.Logf("%d launches, at most %d earlier VMs reachable at once", len(launched), peak)
+}
+
+// settledHeaps collects until every unreachable VM heap has been
+// finalized, so a later count moves only with the caller's own cells.
+func settledHeaps() int {
+	n := jvm.LiveHeaps()
+	for range 50 {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		m := jvm.LiveHeaps()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// A cell canceled mid-run returns with every heap it mapped given
+// back, without waiting for the Go collector: a canceled single run, a
+// canceled mix, and a pairing canceled just after a relaunch.
+func TestCanceledCellReleasesHeaps(t *testing.T) {
+	a, _ := bench.ByName("compress")
+	b, _ := bench.ByName("mpegaudio")
+	pairOpts := DefaultPairOptions()
+	pairOpts.Runs = 2
+	// Solo reference runs are cached and never canceled; measure them
+	// first so the pairing below launches only its own VMs.
+	for _, x := range []*bench.Benchmark{a, b} {
+		if _, err := SoloTime(x, pairOpts.Scale, pairOpts.Runs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(cancel *atomic.Bool) error
+	}{
+		{"run", func(cancel *atomic.Bool) error {
+			cancel.Store(true)
+			_, err := Run(a, Options{HT: true, Threads: 1, Scale: bench.Tiny, Cancel: cancel})
+			return err
+		}},
+		{"mix", func(cancel *atomic.Bool) error {
+			cancel.Store(true)
+			_, err := RunMix(ServerMix(8), Options{HT: true, Scale: bench.Tiny, Cancel: cancel})
+			return err
+		}},
+		{"pair", func(cancel *atomic.Bool) error {
+			launches := 0
+			launchHook = func(*jvm.VM) {
+				if launches++; launches == 3 {
+					cancel.Store(true)
+				}
+			}
+			defer func() { launchHook = nil }()
+			opts := pairOpts
+			opts.Cancel = cancel
+			_, err := RunPair(a, b, opts)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := settledHeaps()
+			var cancel atomic.Bool
+			if err := tc.run(&cancel); !errors.Is(err, core.ErrCanceled) {
+				t.Fatalf("cell returned %v, want a cancellation", err)
+			}
+			if n := jvm.LiveHeaps(); n != base {
+				t.Fatalf("%d heaps live after the canceled cell returned, want %d", n, base)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"javasmt/internal/check"
@@ -194,19 +195,30 @@ func TestMetamorphicCrossProduct(t *testing.T) {
 		t.Skip("short mode")
 	}
 	skipIfChecks(t)
-	cfg := DefaultConfig()
-	cfg.Runs = 1
-
-	cfg.Jobs = 1
-	serial, err := RunPairings(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The -j 1 and -j 8 campaigns run concurrently, each on its own
+	// Config and result, and are compared only once both have finished.
+	var (
+		results [2]*Pairings
+		errs    [2]error
+		wg      sync.WaitGroup
+	)
+	for i, jobs := range []int{1, 8} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := DefaultConfig()
+			cfg.Runs = 1
+			cfg.Jobs = jobs
+			results[i], errs[i] = RunPairings(cfg)
+		}()
 	}
-	cfg.Jobs = 8
-	parallel, err := RunPairings(cfg)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	serial, parallel := results[0], results[1]
 	for _, cmp := range []struct {
 		name           string
 		serial, parall string

@@ -140,6 +140,7 @@ func RunMix(m Mix, opts Options) (*MixResult, error) {
 		// (1+slot)<<26 spacing.
 		prog := b.Build(threads, opts.Scale, 1<<40|uint64(slot)<<26)
 		vm := jvm.New(prog, k, vmConfig(opts.Scale, slot))
+		defer vm.Release()
 		vm.Start()
 		parts = append(parts, part{b: b, vm: vm, threads: threads})
 	}

@@ -90,6 +90,7 @@ func FuzzInterp(f *testing.F) {
 		cfg := jvm.DefaultConfig()
 		cfg.HeapBytes = 1 << 20
 		vm := jvm.New(prog, k, cfg)
+		defer vm.Release()
 		vm.Start()
 		if _, err := cpu.Run(fuzzMaxCycles); err != nil {
 			return // deadlock detection is an error return, not a crash

@@ -2,8 +2,8 @@ package jvm
 
 import (
 	"fmt"
-	"slices"
-	"sync"
+	"runtime"
+	"sync/atomic"
 )
 
 // Object kinds stored in header word 1.
@@ -40,57 +40,38 @@ type heap struct {
 
 type span struct{ off, size int }
 
-// heapPool recycles the word arrays of terminated VMs, so a campaign
-// that relaunches a program for every run reuses heaps instead of
-// allocating one per launch. A pooled slice has the released heap's
-// capacity and, as its length, that heap's bump: the only prefix ever
-// written, and so the only part a reuse must clear.
-//
-// It is a plain free list of at most maxPooledHeaps arrays, not a
-// sync.Pool: a sync.Pool empties at garbage collections and keeps a
-// per-P cache, so whether a launch reused a heap, and with it the
-// process's peak memory, would vary from one run to the next.
-var heapPool struct {
-	sync.Mutex
-	free [][]uint64
-}
+// liveHeaps counts the heaps whose words still hold host memory:
+// created and not yet released or finalized.
+var liveHeaps atomic.Int64
 
-// maxPooledHeaps bounds the released arrays kept for reuse: one per
-// program of a relaunching pairing on each of a few workers. A release
-// beyond it drops the oldest array, so arrays of a size no longer
-// launched age out.
-const maxPooledHeaps = 4
+// LiveHeaps reports how many VM heaps currently hold host memory. A
+// VM gives its heap back when its last mutator exits, when Release is
+// called, or, for a VM dropped without either, when the Go collector
+// finds it unreachable.
+func LiveHeaps() int { return int(liveHeaps.Load()) }
 
+// newHeap backs a heap of capWords words with its own host mapping
+// (mapWords): the words read zero, only the pages a program touches
+// cost memory, and the Go collector neither scans nor counts them. The
+// finalizer gives the mapping back if the heap is dropped unreleased.
 func newHeap(base uint64, capWords int) *heap {
-	heapPool.Lock()
-	var w []uint64
-	for i := len(heapPool.free) - 1; i >= 0; i-- {
-		if cap(heapPool.free[i]) == capWords {
-			w = heapPool.free[i]
-			heapPool.free = slices.Delete(heapPool.free, i, i+1)
-			break
-		}
-	}
-	heapPool.Unlock()
-	if w == nil {
-		return &heap{base: base, words: make([]uint64, capWords)}
-	}
-	clear(w)
-	return &heap{base: base, words: w[:capWords]}
+	h := &heap{base: base, words: mapWords(capWords)}
+	liveHeaps.Add(1)
+	runtime.SetFinalizer(h, (*heap).release)
+	return h
 }
 
-// release hands the word array to heapPool when the VM terminates
-// (DESIGN.md §5, "VM lifecycle and memory"). words becomes nil, so a
-// later access panics instead of reading a recycled heap.
+// release gives the words back to the host (DESIGN.md §5, "VM
+// lifecycle and memory"). It is idempotent. words becomes nil, so a
+// later access panics instead of reading unmapped memory.
 func (h *heap) release() {
-	w := h.words[:h.bump]
-	h.words = nil
-	heapPool.Lock()
-	if len(heapPool.free) == maxPooledHeaps {
-		heapPool.free = slices.Delete(heapPool.free, 0, 1)
+	if h.words == nil {
+		return
 	}
-	heapPool.free = append(heapPool.free, w)
-	heapPool.Unlock()
+	runtime.SetFinalizer(h, nil)
+	unmapWords(h.words)
+	h.words = nil
+	liveHeaps.Add(-1)
 }
 
 // addrToIdx converts a simulated address to a word index, panicking on a

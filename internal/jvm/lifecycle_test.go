@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 	"weak"
 
 	"javasmt/internal/bytecode"
@@ -54,38 +55,41 @@ func TestFinishedVMIsCollected(t *testing.T) {
 	}
 }
 
-// A program run on a recycled heap — one a larger program dirtied and
-// released — must behave exactly as on a freshly allocated heap.
+// settledHeaps collects until every unreachable heap has been
+// finalized, so a count taken afterwards moves only with the caller's
+// own VMs.
+func settledHeaps() int {
+	n := LiveHeaps()
+	for range 50 {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		m := LiveHeaps()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// A program run after another has dirtied and given back a heap of the
+// same size must behave exactly as on the first heap ever made: every
+// heap starts all-zero, whatever ran before it.
 func TestRecycledHeapMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
-	// A heap size no other test uses, so every pooled slice that fits
-	// it was released by this test.
 	cfg.HeapBytes = 1536 << 10
-	// Start from an empty pool, so the first run's heap is fresh.
-	heapPool.Lock()
-	heapPool.free = nil
-	heapPool.Unlock()
 	small := listProgram(500)
 	fresh, freshCPU := runProgram(t, small, true, cfg)
 
-	bigCPU := core.New(core.DefaultConfig(true))
-	big := New(gcChurnProgram(400, 2048), simos.New(bigCPU, simos.Options{}), cfg)
-	bigWords := &big.heap.words[0]
-	big.Start()
-	if _, err := bigCPU.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if big.heap.bump <= 0 {
-		t.Fatal("large program left no heap footprint")
+	big, _ := runProgram(t, gcChurnProgram(400, 2048), true, cfg)
+	if big.GCCount() == 0 || big.heap.bump <= 0 {
+		t.Fatalf("large program left no heap footprint (%d collections, bump %d)", big.GCCount(), big.heap.bump)
 	}
 	recycledCPU := core.New(core.DefaultConfig(true))
 	recycled := New(small, simos.New(recycledCPU, simos.Options{}), cfg)
-	if &recycled.heap.words[0] != bigWords {
-		t.Fatal("the small program did not get the large program's released heap")
-	}
 	for i, w := range recycled.heap.words {
 		if w != 0 {
-			t.Fatalf("recycled heap word %d = %#x, want 0", i, w)
+			t.Fatalf("heap word %d = %#x after a GC-churn program, want 0", i, w)
 		}
 	}
 	recycled.Start()
@@ -107,30 +111,56 @@ func TestRecycledHeapMatchesFresh(t *testing.T) {
 	}
 }
 
-// The pool keeps at most maxPooledHeaps arrays and drops the oldest
-// first, so arrays of a heap size no longer launched age out.
-func TestHeapPoolIsBounded(t *testing.T) {
-	heapPool.Lock()
-	heapPool.free = nil
-	heapPool.Unlock()
-	var first *uint64
-	for i := range maxPooledHeaps + 1 {
-		h := newHeap(0, 64+i)
-		h.bump = 1
-		h.words[0] = 1
-		if i == 0 {
-			first = &h.words[0]
-		}
-		h.release()
+// startUnfinished starts a GC-churn program and stops it after a few
+// thousand cycles, mid-run.
+func startUnfinished(t *testing.T) *VM {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.HeapBytes = 1 << 20
+	cpu := core.New(core.DefaultConfig(true))
+	vm := New(gcChurnProgram(300, 1024), simos.New(cpu, simos.Options{}), cfg)
+	vm.Start()
+	if _, err := cpu.Run(20_000); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	if n := len(heapPool.free); n != maxPooledHeaps {
-		t.Fatalf("pool holds %d arrays, want %d", n, maxPooledHeaps)
+	if cpu.Drained() {
+		t.Fatal("the cycle budget did not stop the program mid-run")
 	}
-	if h := newHeap(0, 64); &h.words[0] == first {
-		t.Fatal("the oldest released array was kept past the bound")
+	return vm
+}
+
+// A VM gives its heap back when its last mutator exits, and Release on
+// an unfinished VM gives it back at once; both leave LiveHeaps where it
+// started, and a second Release is harmless.
+func TestHeapReleasedAtExitAndOnRelease(t *testing.T) {
+	base := settledHeaps()
+	vm, _ := runProgram(t, gcChurnProgram(300, 1024), true, DefaultConfig())
+	if n := LiveHeaps(); n != base {
+		t.Fatalf("%d heaps live after the program exited, want %d", n, base)
 	}
-	if h := newHeap(0, 65); h.words[0] != 0 || len(h.words) != 65 {
-		t.Fatalf("reused array: len %d, word 0 = %d, want len 65 and a cleared word", len(h.words), h.words[0])
+	vm.Release()
+
+	vm = startUnfinished(t)
+	if n := LiveHeaps(); n != base+1 {
+		t.Fatalf("%d heaps live mid-run, want %d", n, base+1)
+	}
+	vm.Release()
+	vm.Release()
+	if n := LiveHeaps(); n != base {
+		t.Fatalf("%d heaps live after Release, want %d", n, base)
+	}
+}
+
+// A VM a test drops mid-run, with its kernel and CPU, never exits and
+// is never released; the collector must still give its heap back.
+func TestDroppedVMIsUnmapped(t *testing.T) {
+	base := settledHeaps()
+	startUnfinished(t)
+	if n := LiveHeaps(); n != base+1 {
+		t.Fatalf("%d heaps live after dropping a running VM, want %d before a collection", n, base+1)
+	}
+	if n := settledHeaps(); n != base {
+		t.Fatalf("%d heaps live after collections, want %d: the dropped VM kept its heap", n, base)
 	}
 }
 

@@ -155,6 +155,12 @@ func (vm *VM) GCCount() int { return vm.gcCount }
 // AllocStats returns the object count and total words allocated.
 func (vm *VM) AllocStats() (objects, words uint64) { return vm.allocs, vm.allocWords }
 
+// Release gives the VM's heap back to the host. A VM releases it
+// itself when its last mutator exits; call Release when abandoning a VM
+// that has not finished (a canceled or cycle-limited run). It is
+// idempotent, and the VM must not run again afterwards.
+func (vm *VM) Release() { vm.heap.release() }
+
 // Start spawns the main thread (the program entry) and the collector
 // thread. The simulation then runs through the kernel/CPU as usual.
 func (vm *VM) Start() *Thread {
@@ -393,7 +399,10 @@ func (vm *VM) threadExited(t *Thread) {
 	}
 	t.onExit = nil
 	if vm.liveMutators() == 0 {
+		// No mutator is left and no collection runs (one stops every
+		// mutator), so nothing reads the heap again.
 		vm.shutdown = true
+		vm.heap.release()
 		if vm.gcThread != nil && vm.gcThread.blocked == blockGCIdle {
 			vm.unblockThread(vm.gcThread)
 		}

@@ -32,7 +32,10 @@
 # both sides alike. Per benchmark it reports the median of the
 # per-alternation ratios base_ns/head_ns ("speedup": above 1 means the
 # working tree is faster), their min/max, and "head_wins": in how many
-# alternations the working tree was faster.
+# alternations the working tree was faster. A benchmark REV lacks runs
+# on REV's sources with the working tree's _test.go files of its
+# package laid over them; if that overlay does not build, the benchmark
+# is reported as {"comparable": false} and not run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -70,29 +73,51 @@ if [ -n "$base" ]; then
 	mkdir "$tmp/base"
 	git archive "$base" | tar -x -C "$tmp/base"
 	head="$(pwd)"
+	: >"$tmp/raw"
 	for p in $pkgs; do
-		(cd "$tmp/base" && go test -c -o "$tmp/base-$p.test" "./internal/$p/")
 		go test -c -o "$tmp/head-$p.test" "./internal/$p/"
+		"$tmp/head-$p.test" -test.list "$pattern" | grep '^Benchmark' >"$tmp/head-$p.list" || true
+		: >"$tmp/base-$p.list"
+		if (cd "$tmp/base" && go test -c -o "$tmp/base-$p.test" "./internal/$p/") >/dev/null 2>&1; then
+			"$tmp/base-$p.test" -test.list "$pattern" | grep '^Benchmark' >"$tmp/base-$p.list" || true
+		fi
+		# Benchmarks REV lacks run on the overlay: REV's sources with
+		# this package's _test.go files taken from the working tree.
+		grep -vxF -f "$tmp/base-$p.list" "$tmp/head-$p.list" >"$tmp/overlay-$p.list" || continue
+		ov="$tmp/overlay-$p"
+		mkdir "$ov"
+		git archive "$base" | tar -x -C "$ov"
+		mkdir -p "$ov/internal/$p"
+		rm -f "$ov/internal/$p/"*_test.go
+		cp "internal/$p/"*_test.go "$ov/internal/$p/"
+		if ! (cd "$ov" && go test -c -o "$tmp/overlay-$p.test" "./internal/$p/") >/dev/null 2>&1; then
+			sed 's/^/nc 0 /' "$tmp/overlay-$p.list" >>"$tmp/raw"
+			: >"$tmp/overlay-$p.list"
+		fi
 	done
 	i=1
 	while [ "$i" -le "$count" ]; do
 		order='base head'
 		[ $((i % 2)) -eq 0 ] && order='head base'
 		for p in $pkgs; do
-			for b in $("$tmp/head-$p.test" -test.list "$pattern" | grep '^Benchmark'); do
+			for b in $(cat "$tmp/head-$p.list"); do
+				bin="base-$p" bdir="$tmp/base"
+				if grep -qxF "$b" "$tmp/overlay-$p.list"; then
+					bin="overlay-$p" bdir="$tmp/overlay-$p"
+				elif ! grep -qxF "$b" "$tmp/base-$p.list"; then
+					continue # not comparable, recorded above
+				fi
 				for side in $order; do
-					dir="$head"
-					[ "$side" = base ] && dir="$tmp/base"
-					# A benchmark the base revision lacks prints nothing
-					# there and is reported for the head side only.
-					(cd "$dir/internal/$p" && "$tmp/$side-$p.test" -test.run '^$' \
+					dir="$head" exe="head-$p"
+					[ "$side" = base ] && dir="$bdir" exe="$bin"
+					(cd "$dir/internal/$p" && "$tmp/$exe.test" -test.run '^$' \
 						-test.bench "^$b\$" -test.benchmem) |
 						sed -n "s/^Benchmark/$side $i Benchmark/p"
 				done
 			done
 		done
 		i=$((i + 1))
-	done >"$tmp/raw"
+	done >>"$tmp/raw"
 	cat "$tmp/raw" >&2
 	awk -v base="$(git rev-parse --short "$base")" \
 		-v head="$(git describe --always --dirty)" -v count="$count" "$awklib"'
@@ -100,6 +125,7 @@ if [ -n "$base" ]; then
 	side = $1; i = $2; name = $3
 	sub(/-[0-9]+$/, "", name)
 	if (!(name in seen)) { seen[name] = 1; names[++nnames] = name }
+	if (side == "nc") { nc[name] = 1; next }
 	ns[side, name, i] = $5
 }
 END {
@@ -107,6 +133,7 @@ END {
 	sortn(names, nnames)
 	for (j = 1; j <= nnames; j++) {
 		name = names[j]
+		if (name in nc) { printf ",\n  \"%s\": {\"comparable\": false}", name; continue }
 		n = 0; wins = 0
 		for (i = 1; i <= count; i++) {
 			if (!(("base", name, i) in ns) || !(("head", name, i) in ns)) continue

@@ -2,7 +2,8 @@
 # verify.sh — the repo's tier-1 gate plus the concurrency gate.
 #
 # Tier 1 (ROADMAP.md): everything must build and the full test suite
-# must pass. On top of that, the perfbench module must build and pass
+# must pass. A cross-compile keeps the non-unix heap fallback and the
+# darwin heap mapping (DESIGN.md §5) building. On top of that, the perfbench module must build and pass
 # its smoke test (every campaign cell's counters match perfbench/pins.go),
 # the packages that share state across goroutines — the harness
 # (solo-time singleflight, pooled CPUs), the scheduler and the campaign
@@ -28,6 +29,10 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== cross-compile (non-unix heap fallback, darwin mapping) =="
+GOOS=windows go build ./...
+GOOS=darwin go vet ./internal/jvm
 
 echo "== tests =="
 go test ./...
