@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		c.Fatal(err)
 	}
-	res, fail, err := harness.RunResilient(b, opts, c.HarnessConfig(j))
+	res, failed, err := harness.RunResilient(b, opts, c.HarnessConfig(j))
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -82,9 +82,7 @@ func main() {
 	if err := c.WriteObs(); err != nil {
 		c.Fatal(err)
 	}
-	if fail != nil {
-		c.ExitFailures([]harness.Failure{{Cell: fail.Cell, Kind: string(fail.Kind), Reason: fail.Reason()}})
-	}
+	c.ExitFailures(failed)
 
 	f := &res.Counters
 	machine := fmt.Sprintf("ht=%v", *ht)

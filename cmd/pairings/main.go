@@ -46,13 +46,9 @@ func main() {
 	if *all {
 		targets := bench.SingleThreaded()
 		if *benches != "" {
-			targets = nil
-			for _, n := range strings.Split(*benches, ",") {
-				b, ok := bench.ByName(strings.TrimSpace(n))
-				if !ok {
-					c.Usagef("unknown benchmark %q in -benches", n)
-				}
-				targets = append(targets, b)
+			var err error
+			if targets, err = cli.ParseBenchmarks(*benches); err != nil {
+				c.Usagef("-benches: %v", err)
 			}
 		}
 		var names []string
@@ -95,7 +91,7 @@ func main() {
 		c.Fatal(err)
 	}
 	cfg.Journal = j
-	res, fail, err := harness.RunPairCell(a, b, cfg)
+	res, failed, err := harness.RunPairCell(a, b, cfg)
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -105,9 +101,7 @@ func main() {
 	if err := c.WriteObs(); err != nil {
 		c.Fatal(err)
 	}
-	if fail != nil {
-		c.ExitFailures([]harness.Failure{{Cell: fail.Cell, Kind: string(fail.Kind), Reason: fail.Reason()}})
-	}
+	c.ExitFailures(failed)
 	f := &res.Counters
 	fmt.Printf("pair            %s + %s\n", res.A, res.B)
 	fmt.Printf("solo cycles     %s=%.0f  %s=%.0f\n", res.A, res.SoloA, res.B, res.SoloB)

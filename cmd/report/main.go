@@ -117,29 +117,20 @@ func main() {
 	}
 
 	if want("fig10") {
-		rows, err := harness.RunFig10(cfg)
+		rows, fails, err := harness.RunFig10(cfg)
 		if err != nil {
 			c.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Failed != "" {
-				failed = append(failed, harness.Failure{Cell: "fig10 " + r.Benchmark, Reason: r.Failed})
-			}
-		}
+		failed = append(failed, fails...)
 		fmt.Println(harness.RenderFig10(rows))
 	}
 
 	if want("fig12") {
-		rows, err := harness.RunFig12(cfg, []int{1, 2, 4, 8, 16})
+		rows, fails, err := harness.RunFig12(cfg, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			c.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Failed != "" {
-				failed = append(failed, harness.Failure{
-					Cell: fmt.Sprintf("fig12 %s t=%d", r.Benchmark, r.Threads), Reason: r.Failed})
-			}
-		}
+		failed = append(failed, fails...)
 		fmt.Println(harness.RenderFig12(rows))
 	}
 

@@ -32,7 +32,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"javasmt/internal/bench"
@@ -64,18 +63,14 @@ func main() {
 		return
 	}
 
-	var counts []int
-	for _, part := range strings.Split(*threads, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			c.Usagef("bad thread count %q", part)
-		}
-		counts = append(counts, n)
+	counts, err := cli.ParseCounts("thread count", *threads)
+	if err != nil {
+		c.Usagef("%v", err)
 	}
 
 	targets := bench.Multithreaded()
 	if *benches != "" {
-		targets = resolveBenches(c, *benches)
+		targets = parseBenches(c, *benches)
 	} else if *name != "" {
 		b, ok := bench.ByName(*name)
 		if !ok || !b.Multithreaded {
@@ -93,7 +88,7 @@ func main() {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cells, err := harness.RunSweep(c.HarnessConfig(j), targets, counts)
+	cells, failed, err := harness.RunSweep(c.HarnessConfig(j), targets, counts)
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -104,16 +99,11 @@ func main() {
 		c.Fatal(err)
 	}
 
-	var failed []harness.Failure
 	fmt.Printf("%-12s %8s %8s %10s %10s %8s %10s %12s\n",
 		"benchmark", "threads", "IPC", "L1D/1k", "OS %", "DT %", "lockCont", "fenceStall")
 	for _, cell := range cells {
 		if cell.Failed != "" {
 			fmt.Printf("%-12s %8d FAILED(%s)\n", cell.Benchmark, cell.Threads, cell.Failed)
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s t=%d", cell.Benchmark, cell.Threads),
-				Reason: cell.Failed,
-			})
 			continue
 		}
 		f := &cell.Counters
@@ -125,20 +115,11 @@ func main() {
 	c.ExitFailures(failed)
 }
 
-// resolveBenches parses a comma-separated benchmark list, reaching both
-// the Table 1 suite and the synchronization-stress family.
-func resolveBenches(c *cli.Common, list string) []*bench.Benchmark {
-	var out []*bench.Benchmark
-	for _, part := range strings.Split(list, ",") {
-		part = strings.TrimSpace(part)
-		b, ok := bench.ByName(part)
-		if !ok {
-			c.Usagef("unknown benchmark %q", part)
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		c.Usagef("-benches is empty")
+// parseBenches parses the -benches list, exiting 2 on a bad one.
+func parseBenches(c *cli.Common, list string) []*bench.Benchmark {
+	out, err := cli.ParseBenchmarks(list)
+	if err != nil {
+		c.Usagef("-benches: %v", err)
 	}
 	return out
 }
@@ -165,12 +146,12 @@ func policySweep(c *cli.Common, policyList, mixList, geoList string) {
 	if err != nil {
 		c.Usagef("%v", err)
 	}
+	sizes, err := cli.ParseCounts("mix size", mixList)
+	if err != nil {
+		c.Usagef("%v", err)
+	}
 	var ms []harness.Mix
-	for _, part := range strings.Split(mixList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			c.Usagef("bad mix size %q", part)
-		}
+	for _, n := range sizes {
 		ms = append(ms, harness.ServerMix(n))
 	}
 
@@ -181,7 +162,7 @@ func policySweep(c *cli.Common, policyList, mixList, geoList string) {
 	}
 	cfg := c.HarnessConfig(j)
 	cfg.Progress = c.Progress()
-	cells, err := harness.RunPolicySweep(cfg, pols, ms, geos)
+	cells, failed, err := harness.RunPolicySweep(cfg, pols, ms, geos)
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -193,15 +174,6 @@ func policySweep(c *cli.Common, policyList, mixList, geoList string) {
 	}
 
 	fmt.Print(harness.RenderPolicySweep(cells))
-	var failed []harness.Failure
-	for _, cell := range cells {
-		if cell.Failed != "" {
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s policy=%s geo=%v", cell.Mix, cell.Policy, cell.Geometry),
-				Reason: cell.Failed,
-			})
-		}
-	}
 	c.ExitFailures(failed)
 }
 
@@ -214,7 +186,7 @@ func geometrySweep(c *cli.Common, name, benches, geoList string) {
 	}
 	targets := bench.All()
 	if benches != "" {
-		targets = resolveBenches(c, benches)
+		targets = parseBenches(c, benches)
 	} else if name != "" {
 		b, ok := bench.ByName(name)
 		if !ok {
@@ -232,7 +204,7 @@ func geometrySweep(c *cli.Common, name, benches, geoList string) {
 	if err != nil {
 		c.Fatal(err)
 	}
-	cells, err := harness.RunGeometrySweep(c.HarnessConfig(j), targets, geos)
+	cells, failed, err := harness.RunGeometrySweep(c.HarnessConfig(j), targets, geos)
 	if err != nil {
 		c.Fatal(err)
 	}
@@ -243,15 +215,10 @@ func geometrySweep(c *cli.Common, name, benches, geoList string) {
 		c.Fatal(err)
 	}
 
-	var failed []harness.Failure
 	fmt.Printf("%-12s %8s %8s %8s %10s %10s %8s\n", "benchmark", "geo", "threads", "IPC", "L1D/1k", "OS %", "DT %")
 	for _, cell := range cells {
 		if cell.Failed != "" {
 			fmt.Printf("%-12s %8v FAILED(%s)\n", cell.Benchmark, cell.Geometry, cell.Failed)
-			failed = append(failed, harness.Failure{
-				Cell:   fmt.Sprintf("%s geo=%v", cell.Benchmark, cell.Geometry),
-				Reason: cell.Failed,
-			})
 			continue
 		}
 		f := &cell.Counters

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -44,6 +45,51 @@ func ParseGeometries(s string) ([]core.Geometry, error) {
 		geos = append(geos, g)
 	}
 	return geos, nil
+}
+
+// ParseBenchmarks maps a comma-separated list of benchmark names (the
+// Table 1 suite and the synchronization-stress family) to benchmarks.
+func ParseBenchmarks(s string) ([]*bench.Benchmark, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, fmt.Errorf("empty benchmark list")
+	}
+	var out []*bench.Benchmark
+	for _, part := range strings.Split(s, ",") {
+		b, ok := bench.ByName(strings.TrimSpace(part))
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", part)
+		}
+		out = append(out, b)
+	}
+	return out, nil
+}
+
+// ParseCounts maps a comma-separated list of positive counts ("1,2,4")
+// to ints; what names the quantity in errors ("thread count").
+func ParseCounts(what, s string) ([]int, error) {
+	var ns []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q", what, part)
+		}
+		ns = append(ns, n)
+	}
+	if err := CheckCounts(what, ns); err != nil {
+		return nil, err
+	}
+	return ns, nil
+}
+
+// CheckCounts rejects a non-positive count; what names the quantity in
+// the error.
+func CheckCounts(what string, ns []int) error {
+	for _, n := range ns {
+		if n < 1 {
+			return fmt.Errorf("bad %s %d: must be positive", what, n)
+		}
+	}
+	return nil
 }
 
 // ParseScale maps a -scale argument to a bench.Scale.

@@ -367,3 +367,54 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	}
 	j.Close()
 }
+
+// TestSharedListParsers pins the list and sim-mode parsers the CLIs and
+// the campaign service's JobSpec resolution share.
+func TestSharedListParsers(t *testing.T) {
+	bs, err := ParseBenchmarks("compress, SyncLock")
+	if err != nil || len(bs) != 2 || bs[0].Name != "compress" || bs[1].Name != "SyncLock" {
+		t.Fatalf("ParseBenchmarks = %v, %v", bs, err)
+	}
+	for in, want := range map[string]string{
+		"compress,nope": "unknown benchmark",
+		"compress,":     "unknown benchmark",
+		"":              "empty benchmark list",
+		" ":             "empty benchmark list",
+	} {
+		if _, err := ParseBenchmarks(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseBenchmarks(%q) error %v, want %q", in, err, want)
+		}
+	}
+
+	ns, err := ParseCounts("thread count", "1, 2,16")
+	if err != nil || len(ns) != 3 || ns[0] != 1 || ns[1] != 2 || ns[2] != 16 {
+		t.Fatalf("ParseCounts = %v, %v", ns, err)
+	}
+	for in, want := range map[string]string{
+		"1,0":  "bad thread count 0: must be positive",
+		"-2":   "bad thread count -2: must be positive",
+		"1,x":  `bad thread count "x"`,
+		"":     `bad thread count ""`,
+		"4,,8": `bad thread count ""`,
+	} {
+		if ns, err := ParseCounts("thread count", in); err == nil || ns != nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseCounts(%q) = %v, %v; want error %q", in, ns, err, want)
+		}
+	}
+	if err := CheckCounts("mix size", []int{8, 0}); err == nil || !strings.Contains(err.Error(), "mix size 0") {
+		t.Errorf("CheckCounts accepted a zero mix size: %v", err)
+	}
+	if err := CheckCounts("mix size", nil); err != nil {
+		t.Errorf("CheckCounts(nil) = %v", err)
+	}
+
+	for _, mode := range []string{"sampled", "Sampled", "SAMPLED"} {
+		c, err := parse(t, Options{}, "-sim-mode", mode)
+		if err != nil || c.Plan.Mode != sampling.Sampled {
+			t.Errorf("-sim-mode %s: plan %+v, err %v", mode, c.Plan, err)
+		}
+	}
+	if _, err := parse(t, Options{}, "-sim-mode", "approximate"); err == nil {
+		t.Error("-sim-mode approximate accepted")
+	}
+}

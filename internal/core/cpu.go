@@ -313,7 +313,7 @@ type CPU struct {
 // its own calendar, trace cache, L1D, TLBs and predictor, reconfigured
 // for ContextsPerCore SMT contexts — over one shared L2 and DRAM.
 func New(cfg Config) *CPU {
-	geo := cfg.Geo()
+	geo := cfg.Geometry
 	dram := mem.New(cfg.Mem)
 	c := &CPU{
 		cfg:  cfg,
@@ -424,7 +424,7 @@ func (c *CPU) Reset() {
 // AttachFeed binds a µop feed to logical processor ctx (global index).
 func (c *CPU) AttachFeed(ctx int, f Feed) {
 	if ctx < 0 || ctx >= len(c.ctxs) {
-		panic(fmt.Sprintf("core: context %d out of range (geometry %v)", ctx, c.cfg.Geo()))
+		panic(fmt.Sprintf("core: context %d out of range (geometry %v)", ctx, c.cfg.Geometry))
 	}
 	x := c.ctxs[ctx]
 	x.feed = f
@@ -447,21 +447,21 @@ func (c *CPU) Now() uint64 { return c.now }
 // (the P4's halving is the two-context case); a single-context core, and
 // any core under dynamic partitioning, exposes the full structure.
 func (c *CPU) robCap() int {
-	if cpc := c.cfg.Geo().ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
+	if cpc := c.cfg.Geometry.ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
 		return c.cfg.Params.ROBSize / cpc
 	}
 	return c.cfg.Params.ROBSize
 }
 
 func (c *CPU) loadCap() int {
-	if cpc := c.cfg.Geo().ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
+	if cpc := c.cfg.Geometry.ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
 		return c.cfg.Params.LoadBufs / cpc
 	}
 	return c.cfg.Params.LoadBufs
 }
 
 func (c *CPU) storeCap() int {
-	if cpc := c.cfg.Geo().ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
+	if cpc := c.cfg.Geometry.ContextsPerCore; cpc > 1 && c.cfg.Partition == StaticPartition {
 		return c.cfg.Params.StoreBufs / cpc
 	}
 	return c.cfg.Params.StoreBufs

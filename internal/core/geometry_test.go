@@ -90,8 +90,9 @@ func TestConfigValidate(t *testing.T) {
 		{"smt4", mk(func(c *Config) { c.Geometry = Geometry{1, 4} }), ""},
 		{"cmp 4x4", mk(func(c *Config) { c.Geometry = Geometry{4, 4} }), ""},
 		{"niagara-ish 8x8", mk(func(c *Config) { c.Geometry = Geometry{8, 8} }), ""},
-		{"zero cores only", mk(func(c *Config) { c.Geometry = Geometry{0, 2} }), "only one dimension"},
-		{"zero contexts only", mk(func(c *Config) { c.Geometry = Geometry{4, 0} }), "only one dimension"},
+		{"zero geometry", mk(func(c *Config) { c.Geometry = Geometry{} }), "at least one core"},
+		{"zero cores only", mk(func(c *Config) { c.Geometry = Geometry{0, 2} }), "at least one core"},
+		{"zero contexts only", mk(func(c *Config) { c.Geometry = Geometry{4, 0} }), "at least one core"},
 		{"negative cores", mk(func(c *Config) { c.Geometry = Geometry{-1, 2} }), "at least one core"},
 		{"negative contexts", mk(func(c *Config) { c.Geometry = Geometry{1, -2} }), "at least one core"},
 		{"too many contexts per core", mk(func(c *Config) { c.Geometry = Geometry{1, 17} }), "contexts per core"},
@@ -201,7 +202,7 @@ func FuzzConfigGeometry(f *testing.F) {
 			cpu.AttachFeed(last, &feed{src: &isa.SliceSource{Uops: mixedStream(2_000)}})
 		}
 		if _, err := cpu.Run(0); err != nil {
-			t.Fatalf("geometry %v: %v", cfg.Geo(), err)
+			t.Fatalf("geometry %v: %v", cfg.Geometry, err)
 		}
 	})
 }

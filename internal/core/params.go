@@ -127,15 +127,9 @@ func DefaultParams() Params {
 
 // Config assembles a whole processor.
 type Config struct {
-	// HT enables the second logical processor (and, under
-	// StaticPartition, halves the buffer partitions). It is the legacy
-	// spelling of the paper machine's two geometries and is consulted
-	// only when Geometry is zero: HT=false ≡ Geometry{1,1}, HT=true ≡
-	// Geometry{1,2}.
-	HT bool
-	// Geometry, when non-zero, selects the machine topology explicitly
-	// and overrides HT. The zero value defers to HT so every existing
-	// configuration (and its golden counters) is untouched.
+	// Geometry is the machine topology: the paper's HT-off machine is
+	// {1,1} and its HT machine {1,2}. It must be set; Validate rejects
+	// the zero value.
 	Geometry Geometry
 	// Partition selects static (P4) or dynamic (ablation) partitioning.
 	// Static divides the ROB and load/store buffers evenly among a
@@ -152,10 +146,15 @@ type Config struct {
 }
 
 // DefaultConfig returns the full paper-machine configuration with
-// Hyper-Threading set as requested.
+// Hyper-Threading set as requested: geometry {1,2} with HT, {1,1}
+// without.
 func DefaultConfig(ht bool) Config {
+	geo := Geometry{Cores: 1, ContextsPerCore: 1}
+	if ht {
+		geo.ContextsPerCore = 2
+	}
 	return Config{
-		HT:        ht,
+		Geometry:  geo,
 		Partition: StaticPartition,
 		Params:    DefaultParams(),
 		TC:        cache.DefaultTraceCacheConfig(),
@@ -167,25 +166,13 @@ func DefaultConfig(ht bool) Config {
 	}
 }
 
-// Geo returns the effective machine geometry: the explicit Geometry when
-// set, otherwise the legacy HT mapping (HT on ≡ {1,2}, off ≡ {1,1}).
-func (c Config) Geo() Geometry {
-	if c.Geometry.Cores != 0 || c.Geometry.ContextsPerCore != 0 {
-		return c.Geometry
-	}
-	if c.HT {
-		return Geometry{Cores: 1, ContextsPerCore: 2}
-	}
-	return Geometry{Cores: 1, ContextsPerCore: 1}
-}
-
 // NumContexts returns how many logical processors the config exposes.
-func (c Config) NumContexts() int { return c.Geo().Total() }
+func (c Config) NumContexts() int { return c.Geometry.Total() }
 
 // MaxRetirePerCycle is the machine-wide retirement bandwidth: RetireWidth
 // per core. The sampled-mode reconstruction uses it to bound how few
 // cycles a functional span can plausibly have taken.
-func (c Config) MaxRetirePerCycle() int { return c.Params.RetireWidth * c.Geo().Cores }
+func (c Config) MaxRetirePerCycle() int { return c.Params.RetireWidth * c.Geometry.Cores }
 
 // Validate rejects configurations that the constructors would panic on or
 // that could not make forward progress (deadlocking the simulation). It
@@ -194,10 +181,6 @@ func (c Config) MaxRetirePerCycle() int { return c.Params.RetireWidth * c.Geo().
 // Validate-clean config is safe to hand to New.
 func (c Config) Validate() error {
 	g := c.Geometry
-	if (g.Cores == 0) != (g.ContextsPerCore == 0) {
-		return fmt.Errorf("core: geometry %v sets only one dimension (both or neither must be zero)", g)
-	}
-	g = c.Geo()
 	if g.Cores < 1 || g.ContextsPerCore < 1 {
 		return fmt.Errorf("core: geometry %v needs at least one core and one context per core", g)
 	}

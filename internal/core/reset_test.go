@@ -44,7 +44,7 @@ func TestResetBitIdentical(t *testing.T) {
 	} {
 		run := func(cpu *CPU) (uint64, counters.File) {
 			cpu.AttachFeed(0, &feed{src: &isa.SliceSource{Uops: uops}})
-			if cfg.HT {
+			if cfg.Geometry.ContextsPerCore > 1 {
 				cpu.AttachFeed(1, &feed{src: &isa.SliceSource{Uops: uops}})
 			}
 			cycles, err := cpu.Run(0)
@@ -67,12 +67,12 @@ func TestResetBitIdentical(t *testing.T) {
 		gotCycles, gotFile := run(dirty)
 
 		if gotCycles != wantCycles {
-			t.Errorf("HT=%v %v: reset CPU ran %d cycles, fresh ran %d", cfg.HT, cfg.Partition, gotCycles, wantCycles)
+			t.Errorf("%v %v: reset CPU ran %d cycles, fresh ran %d", cfg.Geometry, cfg.Partition, gotCycles, wantCycles)
 		}
 		for e := counters.Event(0); int(e) < counters.NumEvents; e++ {
 			if gotFile.Get(e) != wantFile.Get(e) {
-				t.Errorf("HT=%v %v: counter %v: reset=%d fresh=%d",
-					cfg.HT, cfg.Partition, e, gotFile.Get(e), wantFile.Get(e))
+				t.Errorf("%v %v: counter %v: reset=%d fresh=%d",
+					cfg.Geometry, cfg.Partition, e, gotFile.Get(e), wantFile.Get(e))
 			}
 		}
 	}

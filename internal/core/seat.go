@@ -41,7 +41,7 @@ func (g Geometry) Seats() []Seat {
 // FlushSeat is the seat-keyed spelling of FlushThreadState: it
 // invalidates the context's thread-tagged front-end state (trace lines,
 // BTB entries, ITLB partition) on the seat's owning core.
-func (c *CPU) FlushSeat(s Seat) { c.FlushThreadState(c.cfg.Geo().Index(s)) }
+func (c *CPU) FlushSeat(s Seat) { c.FlushThreadState(c.cfg.Geometry.Index(s)) }
 
 // SeatDyn is a live metrics snapshot of one hardware context, read by
 // scheduling policies at quantum boundaries. Retired and ROB are exact
@@ -66,7 +66,7 @@ type SeatDyn struct {
 // consult it at any frequency without breaking determinism or golden
 // byte-identity.
 func (c *CPU) SeatDyn(s Seat) SeatDyn {
-	x := c.ctxs[c.cfg.Geo().Index(s)]
+	x := c.ctxs[c.cfg.Geometry.Index(s)]
 	return SeatDyn{
 		Retired:       x.retired,
 		ROB:           x.robCount,

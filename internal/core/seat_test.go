@@ -36,7 +36,7 @@ func TestSeatString(t *testing.T) {
 
 func TestSeatDynIsPureRead(t *testing.T) {
 	cpu := New(DefaultConfig(true))
-	g := cpu.cfg.Geo()
+	g := cpu.cfg.Geometry
 	for lp := 0; lp < g.Total(); lp++ {
 		before := cpu.Counters().Get(0)
 		d1 := cpu.SeatDyn(g.SeatOf(lp))

@@ -104,7 +104,7 @@ func (c Config) cellMaxCycles() uint64 {
 // never re-simulated; a failed one is re-run. The returned error is a
 // campaign-level fault (journal I/O, undecodable payload) that aborts
 // the whole run; cell failures come back inside the outcome.
-func runCell[T any](cfg Config, cell string, fn func(w *resilience.Watch) (T, error)) (outcome[T], error) {
+func runCell[T any](cfg Config, cell string, fn cellFn[T]) (outcome[T], error) {
 	var out outcome[T]
 	if e, ok := cfg.Journal.Lookup(cell); ok && e.Status == resilience.StatusOK {
 		var rec cellRecord[T]
@@ -153,7 +153,7 @@ func runCell[T any](cfg Config, cell string, fn func(w *resilience.Watch) (T, er
 
 // runGuarded is one attempt of a cell: fault hooks, the simulation, and
 // the always-on conservation validation of its counters.
-func runGuarded[T any](cfg Config, cell string, w *resilience.Watch, fn func(w *resilience.Watch) (T, error), val *T) error {
+func runGuarded[T any](cfg Config, cell string, w *resilience.Watch, fn cellFn[T], val *T) error {
 	fault := faultinject.None
 	if faultinject.Enabled && cfg.Inject != nil {
 		fault = cfg.Inject.Decide(cell)
@@ -173,7 +173,7 @@ func runGuarded[T any](cfg Config, cell string, w *resilience.Watch, fn func(w *
 		}
 	}
 
-	v, err := fn(w)
+	v, err := fn(cfg, w)
 	if err != nil {
 		return err
 	}
@@ -227,11 +227,11 @@ func counterFiles(v any) []*counters.File {
 }
 
 // RunResilient is Run under cfg's campaign policy: panics, deadline
-// expiries and budget exhaustion come back as a *resilience.CellError
+// expiries and budget exhaustion come back as the cell's Failure
 // instead of crashing or hanging, and a journaled cell is resumed
 // rather than re-simulated. The error return is campaign-level (journal
 // I/O) only.
-func RunResilient(b *bench.Benchmark, opts Options, cfg Config) (*Result, *resilience.CellError, error) {
+func RunResilient(b *bench.Benchmark, opts Options, cfg Config) (*Result, []Failure, error) {
 	cell := opts.ObsLabel
 	if cell == "" {
 		cell = b.Name
@@ -239,22 +239,25 @@ func RunResilient(b *bench.Benchmark, opts Options, cfg Config) (*Result, *resil
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = cfg.Policy.CycleBudget
 	}
-	out, err := runCell(cfg, cell, func(w *resilience.Watch) (*Result, error) {
+	return runOne(cfg, typedCell[*Result]{label: cell, fn: func(_ Config, w *resilience.Watch) (*Result, error) {
 		o := opts
 		o.Cancel = w.Flag()
 		return Run(b, o)
-	})
-	return out.v, out.fail, err
+	}})
 }
 
-// RunPairCell is RunPair under cfg's campaign policy; see RunResilient.
-func RunPairCell(a, b *bench.Benchmark, cfg Config) (*PairResult, *resilience.CellError, error) {
-	cell := "pair " + a.Name + "+" + b.Name
-	po := cfg.pairOptions()
-	out, err := runCell(cfg, cell, func(w *resilience.Watch) (*PairResult, error) {
-		o := po
-		o.Cancel = w.Flag()
-		return RunPair(a, b, o)
-	})
-	return out.v, out.fail, err
+// RunPairCell is the pairing cell of a and b under cfg's campaign
+// policy; see RunResilient.
+func RunPairCell(a, b *bench.Benchmark, cfg Config) (*PairResult, []Failure, error) {
+	return runOne(cfg, pairCell(a, b))
+}
+
+// runOne runs a single cell through runCell: the completed value, or
+// nil and the cell's one Failure.
+func runOne[T any](cfg Config, c typedCell[T]) (T, []Failure, error) {
+	out, err := runCell(cfg, c.label, c.fn)
+	if out.fail != nil {
+		return out.v, []Failure{failureOf(out.fail)}, err
+	}
+	return out.v, nil, err
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"javasmt/internal/bench"
+	"javasmt/internal/core"
 	"javasmt/internal/obs"
 	"javasmt/internal/resilience"
 )
@@ -35,7 +36,7 @@ func TestRunCellJournalRoundTrip(t *testing.T) {
 	cfg.Journal = openJournal(t, dir, false)
 	want := Fig10Row{Benchmark: "x", CyclesOff: 10, CyclesOn: 13, CyclesDyn: 11}
 	calls := 0
-	out, err := runCell(cfg, "cell x", func(w *resilience.Watch) (Fig10Row, error) {
+	out, err := runCell(cfg, "cell x", func(_ Config, w *resilience.Watch) (Fig10Row, error) {
 		calls++
 		return want, nil
 	})
@@ -54,7 +55,7 @@ func TestRunCellJournalRoundTrip(t *testing.T) {
 	if cfg.Journal.Resumed() != 1 {
 		t.Fatalf("resumed = %d, want 1", cfg.Journal.Resumed())
 	}
-	out, err = runCell(cfg, "cell x", func(w *resilience.Watch) (Fig10Row, error) {
+	out, err = runCell(cfg, "cell x", func(_ Config, w *resilience.Watch) (Fig10Row, error) {
 		t.Fatal("re-simulated a journaled cell")
 		return Fig10Row{}, nil
 	})
@@ -73,7 +74,7 @@ func TestRunCellPanicBecomesFailure(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.Journal = openJournal(t, dir, false)
-	out, err := runCell(cfg, "cell boom", func(w *resilience.Watch) (int, error) {
+	out, err := runCell(cfg, "cell boom", func(_ Config, w *resilience.Watch) (int, error) {
 		panic("kaboom")
 	})
 	if err != nil {
@@ -95,7 +96,7 @@ func TestRunCellPanicBecomesFailure(t *testing.T) {
 	// The failed cell re-runs on resume and its success supersedes.
 	cfg.Journal = openJournal(t, dir, true)
 	defer cfg.Journal.Close()
-	out, err = runCell(cfg, "cell boom", func(w *resilience.Watch) (int, error) {
+	out, err = runCell(cfg, "cell boom", func(_ Config, w *resilience.Watch) (int, error) {
 		return 7, nil
 	})
 	if err != nil || out.fail != nil || out.v != 7 {
@@ -113,7 +114,7 @@ func TestRunCellRetriesTransient(t *testing.T) {
 	cfg.Policy.Retries = 2
 	cfg.Policy.Backoff = time.Nanosecond
 	calls := 0
-	out, err := runCell(cfg, "cell flaky", func(w *resilience.Watch) (int, error) {
+	out, err := runCell(cfg, "cell flaky", func(_ Config, w *resilience.Watch) (int, error) {
 		calls++
 		if calls < 3 {
 			return 0, resilience.MarkTransient(errTransientProbe)
@@ -128,7 +129,7 @@ func TestRunCellRetriesTransient(t *testing.T) {
 	}
 
 	calls = 0
-	out, err = runCell(cfg, "cell broken", func(w *resilience.Watch) (int, error) {
+	out, err = runCell(cfg, "cell broken", func(_ Config, w *resilience.Watch) (int, error) {
 		calls++
 		return 0, errTransientProbe // unmarked: permanent
 	})
@@ -142,35 +143,144 @@ func TestRunCellRetriesTransient(t *testing.T) {
 
 var errTransientProbe = errors.New("probe failure")
 
-// TestCampaignDegradesGracefully runs a real (reduced) pairing campaign
-// under an unmeetable cycle budget: every pairing cell must come back as
-// a FAILED entry in a completed report, with no error and no crash.
+// TestCampaignDegradesGracefully runs every campaign driver on a reduced
+// grid under an unmeetable cycle budget: each must complete with no
+// error and no crash, hand back exactly one cycle-budget Failure per
+// enumerated cell — labelled as the matching *CellSpecs enumerator
+// labels it, in cell order — carry each cell's reason in its FAILED
+// row, and render those rows. The sweeps have no harness renderer
+// (cmd/sweep prints their rows), so only their rows are checked.
 func TestCampaignDegradesGracefully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	skipIfChecks(t)
 	progs := []*bench.Benchmark{mustBench(t, "compress"), mustBench(t, "mpegaudio")}
-	cfg := DefaultConfig()
-	cfg.Runs = 2
-	cfg.Jobs = 4
-	cfg.Policy.CycleBudget = 50_000 // far below any pairing's runtime
-	p, err := RunPairingsOf(progs, cfg)
-	if err != nil {
-		t.Fatalf("campaign aborted instead of degrading: %v", err)
+	geos := []core.Geometry{{Cores: 1, ContextsPerCore: 2}, {Cores: 2, ContextsPerCore: 2}}
+	mixes := []Mix{ServerMix(8)}
+
+	// degraded is what a driver hands back: its failures, every row's
+	// Failed reason in cell order, and its rendered figures, each of
+	// which must contain want.
+	type degraded struct {
+		fails   []Failure
+		reasons []string
+		figs    []string
+		want    string
 	}
-	if len(p.Failed) != 3 { // compress+compress, compress+mpegaudio, mpegaudio+mpegaudio
-		t.Fatalf("failed = %+v, want all 3 cells", p.Failed)
-	}
-	for _, f := range p.Failed {
-		if f.Kind != string(resilience.KindCycleBudget) {
-			t.Fatalf("failure kind = %q, want cycle-budget: %+v", f.Kind, f)
+	reasonsOf := func(n int, reason func(i int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = reason(i)
 		}
+		return out
 	}
-	for _, fig := range []string{p.Fig8(), p.Fig9(), p.Fig11()} {
-		if !strings.Contains(fig, "FAILED cells (3):") {
-			t.Fatalf("figure lacks the FAILED trailer:\n%s", fig)
-		}
+	cases := []struct {
+		name  string
+		specs []CellSpec
+		run   func(cfg Config) (degraded, error)
+	}{
+		{"characterization", CharacterizationCellSpecs(), func(cfg Config) (degraded, error) {
+			c, err := RunCharacterization(cfg)
+			if err != nil {
+				return degraded{}, err
+			}
+			return degraded{
+				fails:   c.Failed,
+				reasons: reasonsOf(len(c.Runs), func(i int) string { return c.Runs[i].Failed }),
+				figs:    []string{c.Table2(), c.Fig1(), c.Fig2(), c.Fig3(), c.Fig4(), c.Fig5(), c.Fig6(), c.Fig7()},
+				want:    "FAILED(",
+			}, nil
+		}},
+		{"pairings", PairingCellSpecs(progs), func(cfg Config) (degraded, error) {
+			p, err := RunPairingsOf(progs, cfg)
+			if err != nil {
+				return degraded{}, err
+			}
+			grid := pairGrid(progs)
+			return degraded{
+				fails: p.Failed,
+				reasons: reasonsOf(len(grid), func(i int) string {
+					return p.Results[grid[i][0]][grid[i][1]].Failed
+				}),
+				// compress+compress, compress+mpegaudio, mpegaudio+mpegaudio
+				figs: []string{p.Fig8(), p.Fig9(), p.Fig11()},
+				want: "FAILED cells (3):",
+			}, nil
+		}},
+		{"fig10", Fig10CellSpecs(), func(cfg Config) (degraded, error) {
+			rows, fails, err := RunFig10(cfg)
+			return degraded{
+				fails:   fails,
+				reasons: reasonsOf(len(rows), func(i int) string { return rows[i].Failed }),
+				figs:    []string{RenderFig10(rows)},
+				want:    "FAILED(",
+			}, err
+		}},
+		{"fig12", Fig12CellSpecs([]int{2}), func(cfg Config) (degraded, error) {
+			rows, fails, err := RunFig12(cfg, []int{2})
+			return degraded{
+				fails:   fails,
+				reasons: reasonsOf(len(rows), func(i int) string { return rows[i].Failed }),
+				figs:    []string{RenderFig12(rows)},
+				want:    "FAILED(",
+			}, err
+		}},
+		{"sweep", SweepCellSpecs(progs, []int{1}), func(cfg Config) (degraded, error) {
+			rows, fails, err := RunSweep(cfg, progs, []int{1})
+			return degraded{
+				fails:   fails,
+				reasons: reasonsOf(len(rows), func(i int) string { return rows[i].Failed }),
+			}, err
+		}},
+		{"geometry", GeometryCellSpecs(progs, geos), func(cfg Config) (degraded, error) {
+			rows, fails, err := RunGeometrySweep(cfg, progs, geos)
+			return degraded{
+				fails:   fails,
+				reasons: reasonsOf(len(rows), func(i int) string { return rows[i].Failed }),
+			}, err
+		}},
+		{"policy", PolicyCellSpecs([]string{"naive"}, mixes, geos), func(cfg Config) (degraded, error) {
+			rows, fails, err := RunPolicySweep(cfg, []string{"naive"}, mixes, geos)
+			return degraded{
+				fails:   fails,
+				reasons: reasonsOf(len(rows), func(i int) string { return rows[i].Failed }),
+				figs:    []string{RenderPolicySweep(rows)},
+				want:    "FAILED",
+			}, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Runs = 2
+			cfg.Jobs = 4
+			cfg.Policy.CycleBudget = 50_000 // far below any cell's runtime
+			got, err := tc.run(cfg)
+			if err != nil {
+				t.Fatalf("campaign aborted instead of degrading: %v", err)
+			}
+			if len(got.fails) != len(tc.specs) || len(got.reasons) != len(tc.specs) {
+				t.Fatalf("%d failures and %d rows for %d cells: %+v",
+					len(got.fails), len(got.reasons), len(tc.specs), got.fails)
+			}
+			for i, f := range got.fails {
+				if f.Cell != tc.specs[i].Label {
+					t.Errorf("failure %d is cell %q, enumerator says %q", i, f.Cell, tc.specs[i].Label)
+				}
+				if f.Kind != string(resilience.KindCycleBudget) {
+					t.Errorf("failure kind = %q, want cycle-budget: %+v", f.Kind, f)
+				}
+				if f.Reason == "" || got.reasons[i] != f.Reason {
+					t.Errorf("cell %s: row reason %q, failure reason %q", f.Cell, got.reasons[i], f.Reason)
+				}
+			}
+			for _, fig := range got.figs {
+				if !strings.Contains(fig, got.want) {
+					t.Errorf("rendered output lacks %q:\n%s", got.want, fig)
+				}
+			}
+		})
 	}
 }
 
@@ -276,7 +386,7 @@ func TestRunSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cells, err := RunSweep(DefaultConfig(), []*bench.Benchmark{mustBench(t, "db")}, []int{1})
+	cells, _, err := RunSweep(DefaultConfig(), []*bench.Benchmark{mustBench(t, "db")}, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

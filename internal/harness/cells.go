@@ -1,13 +1,14 @@
 // Cell enumeration: every campaign type (characterization, pairings,
 // fig10, fig12, counter/geometry/policy sweeps) enumerates its grid as
 // a flat list of independently schedulable cells before anything runs.
-// The CLI drivers in experiments.go/policy.go and the campaign service
-// (internal/service) alike run these cells on the sched worker pool.
-// One enumerator per campaign type is the single source of truth for
-// cell labels and per-cell simulation options, so a daemon job and a
-// one-shot CLI run of the same spec produce byte-identical journal
-// entries — the property the service's crash-recovery and result-cache
-// layers rest on.
+// The drivers in experiments.go/policy.go run these cells through
+// runGrid on the sched worker pool; the campaign service
+// (internal/service) runs them one by one as CellSpecs. Both go through
+// runCell. The enumerators here are the only code that formats a cell
+// label, and the single source of per-cell simulation options, so a
+// daemon job and a one-shot CLI run of the same spec produce
+// byte-identical journal entries — the property the service's
+// crash-recovery and result-cache layers rest on.
 
 package harness
 
@@ -40,40 +41,34 @@ type typedCell[T any] struct {
 	failed func(reason string) T
 }
 
-// runTyped executes one enumerated cell through runCell: journal
-// lookup, resilience policy, conservation validation, journaling.
-func runTyped[T any](cfg Config, c typedCell[T]) (outcome[T], error) {
-	return runCell(cfg, c.label, func(w *resilience.Watch) (T, error) { return c.fn(cfg, w) })
-}
-
-// mapCells fans enumerated cells across the engine, reporting each
-// cell's label as progress; outcomes come back in cell order.
-func mapCells[T any](cfg Config, cells []typedCell[T]) ([]outcome[T], error) {
+// runGrid is the one runner every campaign driver uses: it fans the
+// enumerated cells across the engine through runCell (journal lookup,
+// resilience policy, conservation validation, journaling), reporting
+// each cell's label as progress. It returns one row per cell in cell
+// order — the completed value, or the cell's FAILED row when the
+// campaign gave it up — and one Failure per given-up cell, also in cell
+// order.
+func runGrid[T any](cfg Config, cells []typedCell[T]) ([]T, []Failure, error) {
 	report := sched.Progress(cfg.Progress)
 	label := func(i int) string { return cells[i].label }
-	return sched.MapObserved(len(cells), cfg.Jobs, cfg.Obs, label, func(i int) (outcome[T], error) {
+	outs, err := sched.MapObserved(len(cells), cfg.Jobs, cfg.Obs, label, func(i int) (outcome[T], error) {
 		report(cells[i].label)
-		return runTyped(cfg, cells[i])
+		return runCell(cfg, cells[i].label, cells[i].fn)
 	})
-}
-
-// runGrid runs a campaign grid and returns one row per cell in cell
-// order: the completed value, or the cell's FAILED row when the
-// campaign gave it up.
-func runGrid[T any](cfg Config, cells []typedCell[T]) ([]T, error) {
-	outs, err := mapCells(cfg, cells)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rows := make([]T, len(outs))
+	var fails []Failure
 	for i, o := range outs {
 		if o.fail != nil {
 			rows[i] = cells[i].failed(o.fail.Reason())
+			fails = append(fails, failureOf(o.fail))
 			continue
 		}
 		rows[i] = o.v
 	}
-	return rows, nil
+	return rows, fails, nil
 }
 
 // arm completes a cell's run options with the campaign-wide settings:
@@ -102,6 +97,9 @@ func characterizationCells() []typedCell[CharRun] {
 				label := fmt.Sprintf("%s t=%d ht=%v", b.Name, threads, ht)
 				cells = append(cells, typedCell[CharRun]{
 					label: label,
+					failed: func(reason string) CharRun {
+						return CharRun{Benchmark: b.Name, Threads: threads, HT: ht, Failed: reason}
+					},
 					fn: func(cfg Config, w *resilience.Watch) (CharRun, error) {
 						res, err := Run(b, cfg.arm(Options{HT: ht, Threads: threads, Verify: true}, w, label))
 						if err != nil {
@@ -129,13 +127,31 @@ func pairGrid(progs []*bench.Benchmark) [][2]int {
 	return grid
 }
 
+// pairCells enumerates the §4.2 pairing cells of progs in pairGrid
+// order.
+func pairCells(progs []*bench.Benchmark) []typedCell[*PairResult] {
+	grid := pairGrid(progs)
+	cells := make([]typedCell[*PairResult], len(grid))
+	for i, ij := range grid {
+		cells[i] = pairCell(progs[ij[0]], progs[ij[1]])
+	}
+	return cells
+}
+
+// pairLabel is the label of the pairing cell of programs a and b; the
+// pairing's metrics series is recorded under the same name.
+func pairLabel(a, b string) string { return "pair " + a + "+" + b }
+
 // pairCell enumerates one §4.2 pairing cell. Workers draw reusable
 // machines from the shared pool: a Reset CPU behaves bit-identically to
 // a fresh one (asserted by the determinism test) but keeps its calendar
 // rings, ROB rings and cache arrays.
 func pairCell(a, b *bench.Benchmark) typedCell[*PairResult] {
 	return typedCell[*PairResult]{
-		label: "pair " + a.Name + "+" + b.Name,
+		label: pairLabel(a.Name, b.Name),
+		failed: func(reason string) *PairResult {
+			return &PairResult{A: a.Name, B: b.Name, Failed: reason}
+		},
 		fn: func(cfg Config, w *resilience.Watch) (*PairResult, error) {
 			// A panicking cell unwinds past the Put, so its machine —
 			// possibly mid-corruption — is never pooled; canceled or
@@ -329,12 +345,13 @@ type CellSpec struct {
 // back in the outcome.
 func (c CellSpec) Run(cfg Config) (CellOutcome, error) { return c.exec(cfg) }
 
-// toSpecs adapts enumerated typed cells to the service-facing form.
+// toSpecs adapts enumerated typed cells to the service-facing form;
+// each spec runs its cell through runCell, as runGrid does.
 func toSpecs[T any](cells []typedCell[T]) []CellSpec {
 	specs := make([]CellSpec, len(cells))
 	for i, c := range cells {
 		specs[i] = CellSpec{Label: c.label, exec: func(cfg Config) (CellOutcome, error) {
-			out, err := runTyped(cfg, c)
+			out, err := runCell(cfg, c.label, c.fn)
 			if err != nil {
 				return CellOutcome{}, err
 			}
@@ -350,14 +367,7 @@ func CharacterizationCellSpecs() []CellSpec { return toSpecs(characterizationCel
 
 // PairingCellSpecs enumerates the §4.2 pairing cells of progs for the
 // campaign service.
-func PairingCellSpecs(progs []*bench.Benchmark) []CellSpec {
-	grid := pairGrid(progs)
-	cells := make([]typedCell[*PairResult], len(grid))
-	for i, ij := range grid {
-		cells[i] = pairCell(progs[ij[0]], progs[ij[1]])
-	}
-	return toSpecs(cells)
-}
+func PairingCellSpecs(progs []*bench.Benchmark) []CellSpec { return toSpecs(pairCells(progs)) }
 
 // Fig10CellSpecs enumerates the HT-tax cells (§4.3) for the campaign
 // service.

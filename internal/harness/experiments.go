@@ -11,22 +11,25 @@ import (
 	"javasmt/internal/bench"
 	"javasmt/internal/core"
 	"javasmt/internal/counters"
-	"javasmt/internal/sched"
 	"javasmt/internal/stats"
 )
 
 // CharRun is one characterization run of a multithreaded benchmark.
+// Failed is the failure reason when the campaign gave up on the cell
+// (Result is then nil).
 type CharRun struct {
 	Benchmark string
 	Threads   int
 	HT        bool
 	Result    *Result
+	Failed    string `json:",omitempty"`
 }
 
 // Characterization holds the run matrix behind Table 2 and Figures 1-7:
 // every multithreaded benchmark at 2 and 8 threads, HT off and on.
-// Cells the campaign gave up on are absent from Runs and listed in
-// Failed; the renderers print them as FAILED(reason) rows.
+// Cells the campaign gave up on keep their row in Runs with its Failed
+// reason and are listed in Failed; the renderers print them as
+// FAILED(reason) rows.
 type Characterization struct {
 	Scale  bench.Scale
 	Runs   []CharRun
@@ -37,41 +40,33 @@ type Characterization struct {
 // independent cells across up to cfg.Jobs workers. Cell order in the
 // result is fixed regardless of parallelism.
 func RunCharacterization(cfg Config) (*Characterization, error) {
-	outs, err := mapCells(cfg, characterizationCells())
+	rows, fails, err := runGrid(cfg, characterizationCells())
 	if err != nil {
 		return nil, err
 	}
-	c := &Characterization{Scale: cfg.Scale}
-	for _, o := range outs {
-		if o.fail != nil {
-			c.Failed = append(c.Failed, failureOf(o.fail))
-			continue
-		}
-		c.Runs = append(c.Runs, o.v)
-	}
-	return c, nil
+	return &Characterization{Scale: cfg.Scale, Runs: rows, Failed: fails}, nil
 }
 
-// find returns the run for (name, threads, ht), or nil if that cell
-// failed (its reason is then available via reason).
-func (c *Characterization) find(name string, threads int, ht bool) *Result {
+// find returns the row for (name, threads, ht); a cell absent from Runs
+// reads as failed with reason "cell missing".
+func (c *Characterization) find(name string, threads int, ht bool) CharRun {
 	for _, r := range c.Runs {
 		if r.Benchmark == name && r.Threads == threads && r.HT == ht {
-			return r.Result
+			return r
 		}
 	}
-	return nil
+	return CharRun{Benchmark: name, Threads: threads, HT: ht, Failed: "cell missing"}
 }
 
-// reason returns the failure reason recorded for cell (name, threads, ht).
-func (c *Characterization) reason(name string, threads int, ht bool) string {
-	cell := fmt.Sprintf("%s t=%d ht=%v", name, threads, ht)
-	for _, f := range c.Failed {
-		if f.Cell == cell {
-			return f.Reason
+// failedOf returns the failure reason of the first failed row, or ""
+// when every row completed — for figures whose rows need both HT modes.
+func failedOf(rows ...CharRun) string {
+	for _, r := range rows {
+		if r.Failed != "" {
+			return r.Failed
 		}
 	}
-	return "cell missing"
+	return ""
 }
 
 // Table1 renders the paper's benchmark-description table.
@@ -97,12 +92,13 @@ func (c *Characterization) Table2() string {
 	for _, b := range bench.Multithreaded() {
 		for _, threads := range []int{2, 8} {
 			r := c.find(b.Name, threads, true)
-			if r == nil {
-				fmt.Fprintf(&sb, "%-12s %-8d FAILED(%s)\n", b.Name, threads, c.reason(b.Name, threads, true))
+			if r.Failed != "" {
+				fmt.Fprintf(&sb, "%-12s %-8d FAILED(%s)\n", b.Name, threads, r.Failed)
 				continue
 			}
+			f := &r.Result.Counters
 			fmt.Fprintf(&sb, "%-12s %-8d %8.2f %10.2f %12.2f\n",
-				b.Name, threads, r.Counters.CPI(), r.Counters.OSCyclePercent(), r.Counters.DTModePercent())
+				b.Name, threads, f.CPI(), f.OSCyclePercent(), f.DTModePercent())
 		}
 	}
 	return sb.String()
@@ -115,23 +111,14 @@ func (c *Characterization) Fig1() string {
 	fmt.Fprintf(&sb, "%-12s %10s %10s %9s\n", "Benchmark", "HT off", "HT on", "gain")
 	for _, b := range bench.Multithreaded() {
 		roff, ron := c.find(b.Name, 2, false), c.find(b.Name, 2, true)
-		if roff == nil || ron == nil {
-			fmt.Fprintf(&sb, "%-12s FAILED(%s)\n", b.Name, c.firstReason(b.Name, 2))
+		if reason := failedOf(roff, ron); reason != "" {
+			fmt.Fprintf(&sb, "%-12s FAILED(%s)\n", b.Name, reason)
 			continue
 		}
-		off, on := roff.Counters.IPC(), ron.Counters.IPC()
+		off, on := roff.Result.Counters.IPC(), ron.Result.Counters.IPC()
 		fmt.Fprintf(&sb, "%-12s %10.3f %10.3f %8.1f%%\n", b.Name, off, on, 100*(on/off-1))
 	}
 	return sb.String()
-}
-
-// firstReason returns the failure reason of the first failed HT mode of
-// (name, threads) — for figures whose rows need both modes.
-func (c *Characterization) firstReason(name string, threads int) string {
-	if c.find(name, threads, false) == nil {
-		return c.reason(name, threads, false)
-	}
-	return c.reason(name, threads, true)
 }
 
 // Fig2 renders the retirement profile (share of cycles retiring 0-3 µops).
@@ -148,11 +135,11 @@ func (c *Characterization) Fig2() string {
 				mode = "on"
 			}
 			r := c.find(b.Name, 2, ht)
-			if r == nil {
-				fmt.Fprintf(&sb, "%-12s %-6s FAILED(%s)\n", b.Name, mode, c.reason(b.Name, 2, ht))
+			if r.Failed != "" {
+				fmt.Fprintf(&sb, "%-12s %-6s FAILED(%s)\n", b.Name, mode, r.Failed)
 				continue
 			}
-			p := r.Counters.RetirementProfile()
+			p := r.Result.Counters.RetirementProfile()
 			fmt.Fprintf(&sb, "%-12s %-6s %7.3f %7.3f %7.3f %7.3f\n", b.Name, mode, p[0], p[1], p[2], p[3])
 			for i := range p {
 				avg[hi][i] += p[i]
@@ -178,12 +165,12 @@ func (c *Characterization) ratioFigure(title string, metric func(*counters.File)
 	for _, b := range bench.Multithreaded() {
 		for _, threads := range []int{2, 8} {
 			roff, ron := c.find(b.Name, threads, false), c.find(b.Name, threads, true)
-			if roff == nil || ron == nil {
-				fmt.Fprintf(&sb, "%-14s FAILED(%s)\n", fmt.Sprintf("%s%02d", b.Name, threads), c.firstReason(b.Name, threads))
+			if reason := failedOf(roff, ron); reason != "" {
+				fmt.Fprintf(&sb, "%-14s FAILED(%s)\n", fmt.Sprintf("%s%02d", b.Name, threads), reason)
 				continue
 			}
 			fmt.Fprintf(&sb, "%-14s %10.3f %10.3f\n", fmt.Sprintf("%s%02d", b.Name, threads),
-				metric(&roff.Counters), metric(&ron.Counters))
+				metric(&roff.Result.Counters), metric(&ron.Result.Counters))
 		}
 	}
 	return sb.String()
@@ -220,9 +207,10 @@ func (c *Characterization) Fig7() string {
 }
 
 // Pairings is the 9x9 multiprogramming cross product behind Figures 8, 9
-// and 11. Cells the campaign gave up on leave nil in Results (and 0 in
-// Combined) and are listed in Failed; renderers skip them in statistics
-// and append a FAILED-cells trailer.
+// and 11. Cells the campaign gave up on hold a row carrying only the
+// pair and its Failed reason in Results (and 0 in Combined) and are
+// listed in Failed; renderers skip them in statistics and append a
+// FAILED-cells trailer.
 type Pairings struct {
 	Names []string
 	// Combined[i][j] is C_AB for row benchmark i paired with column j.
@@ -243,68 +231,40 @@ func RunPairings(cfg Config) (*Pairings, error) {
 // RunPairingsOf is RunPairings over an explicit program list — tests and
 // cmd/pairings -benches use reduced lists for fast smoke campaigns.
 func RunPairingsOf(progs []*bench.Benchmark, cfg Config) (*Pairings, error) {
-	p := &Pairings{}
-	for _, b := range progs {
-		p.Names = append(p.Names, b.Name)
-	}
-	n := len(progs)
-	p.Combined = make([][]float64, n)
-	p.Results = make([][]*PairResult, n)
-	for i := range p.Combined {
-		p.Combined[i] = make([]float64, n)
-		p.Results[i] = make([]*PairResult, n)
-	}
-	grid := pairGrid(progs)
-	cells := make([]typedCell[*PairResult], len(grid))
-	for idx, ij := range grid {
-		cells[idx] = pairCell(progs[ij[0]], progs[ij[1]])
-	}
-	report := sched.Progress(cfg.Progress)
-	label := func(idx int) string { return cells[idx].label }
-	results, err := sched.MapObserved(len(grid), cfg.Jobs, cfg.Obs, label, func(idx int) (outcome[*PairResult], error) {
-		a, b := progs[grid[idx][0]], progs[grid[idx][1]]
-		report(fmt.Sprintf("pair %s + %s: start", a.Name, b.Name))
-		out, err := runTyped(cfg, cells[idx])
-		if err != nil {
-			return out, err
-		}
-		if out.fail != nil {
-			report(fmt.Sprintf("pair %s + %s: FAILED(%s)", a.Name, b.Name, out.fail.Reason()))
-		} else {
-			report(fmt.Sprintf("pair %s + %s: done C_AB=%.3f", a.Name, b.Name, out.v.CombinedSpeedup()))
-		}
-		return out, nil
-	})
+	rows, fails, err := runGrid(cfg, pairCells(progs))
 	if err != nil {
 		return nil, err
 	}
-	for idx, o := range results {
-		i, j := grid[idx][0], grid[idx][1]
-		if o.fail != nil {
-			p.Failed = append(p.Failed, failureOf(o.fail))
-			continue
-		}
-		res := o.v
-		p.Results[i][j] = res
-		p.Combined[i][j] = res.CombinedSpeedup()
-		if i != j {
-			// The (j,i) cell is the same co-schedule observed from
-			// the other program's seat; the simulator is
-			// deterministic, so the mirrored cell is measured
-			// from the same run (the paper's near-perfect
-			// reflective symmetry, which it attributes to fair
-			// OS scheduling).
-			p.Results[j][i] = res
-			p.Combined[j][i] = res.CombinedSpeedup()
+	n := len(progs)
+	p := &Pairings{Combined: make([][]float64, n), Results: make([][]*PairResult, n), Failed: fails}
+	for i, b := range progs {
+		p.Names = append(p.Names, b.Name)
+		p.Combined[i] = make([]float64, n)
+		p.Results[i] = make([]*PairResult, n)
+	}
+	for idx, ij := range pairGrid(progs) {
+		// The (j,i) cell is the same co-schedule observed from the
+		// other program's seat; the simulator is deterministic, so the
+		// mirrored cell is measured from the same run (the paper's
+		// near-perfect reflective symmetry, which it attributes to fair
+		// OS scheduling).
+		res := rows[idx]
+		for _, c := range [][2]int{ij, {ij[1], ij[0]}} {
+			p.Results[c[0]][c[1]] = res
+			p.Combined[c[0]][c[1]] = res.CombinedSpeedup()
 		}
 	}
 	return p, nil
 }
 
-// ok reports whether cell (i, j) completed. A Pairings built without a
-// Results matrix (literal fixtures) treats every cell as complete.
-func (p *Pairings) ok(i, j int) bool {
-	return len(p.Results) <= i || len(p.Results[i]) <= j || p.Results[i][j] != nil
+// failed returns the failure reason of cell (i, j), or "" when it
+// completed. A Pairings built without a Results matrix (literal
+// fixtures) treats every cell as complete.
+func (p *Pairings) failed(i, j int) string {
+	if len(p.Results) <= i || len(p.Results[i]) <= j || p.Results[i][j] == nil {
+		return ""
+	}
+	return p.Results[i][j].Failed
 }
 
 // RowSpeedups returns the combined speedups of row benchmark i against
@@ -313,7 +273,7 @@ func (p *Pairings) ok(i, j int) bool {
 func (p *Pairings) RowSpeedups(i int) []float64 {
 	var out []float64
 	for j := range p.Combined[i] {
-		if p.ok(i, j) {
+		if p.failed(i, j) == "" {
 			out = append(out, p.Combined[i][j])
 		}
 	}
@@ -360,7 +320,7 @@ func (p *Pairings) Fig9() string {
 	lo, hi := 2.0, 0.0
 	for i, row := range p.Combined {
 		for j, v := range row {
-			if !p.ok(i, j) {
+			if p.failed(i, j) != "" {
 				continue // failed cells render as the low end; scale from real data
 			}
 			if v < lo {
@@ -377,7 +337,7 @@ func (p *Pairings) Fig9() string {
 	var bad []string
 	for i := range p.Combined {
 		for j := range p.Combined[i] {
-			if j < i || !p.ok(i, j) {
+			if j < i || p.failed(i, j) != "" {
 				continue
 			}
 			if p.Combined[i][j] < 1.0 {
@@ -400,25 +360,14 @@ func (p *Pairings) Fig11() string {
 	sb.WriteString("Figure 11. Impact of Hyper-Threading on multiprogrammed (self-paired) programs\n")
 	fmt.Fprintf(&sb, "%-12s %16s\n", "Benchmark", "combined speedup")
 	for i, n := range p.Names {
-		if !p.ok(i, i) {
-			fmt.Fprintf(&sb, "%-12s FAILED(%s)\n", n, p.reason(n, n))
+		if reason := p.failed(i, i); reason != "" {
+			fmt.Fprintf(&sb, "%-12s FAILED(%s)\n", n, reason)
 			continue
 		}
 		fmt.Fprintf(&sb, "%-12s %16.3f\n", n, p.Combined[i][i])
 	}
 	sb.WriteString(renderFailures(p.Failed))
 	return sb.String()
-}
-
-// reason returns the failure reason recorded for the (a, b) pairing cell.
-func (p *Pairings) reason(a, b string) string {
-	cell := "pair " + a + "+" + b
-	for _, f := range p.Failed {
-		if f.Cell == cell {
-			return f.Reason
-		}
-	}
-	return "cell missing"
 }
 
 // Fig10Row is one single-threaded HT-tax measurement. Failed is the
@@ -446,7 +395,7 @@ func (r Fig10Row) DynSlowdownPct() float64 {
 // RunFig10 measures the static-partition tax on each single-threaded
 // program (paper §4.3), plus the dynamic-partition ablation, fanning
 // the per-benchmark measurements across up to cfg.Jobs workers.
-func RunFig10(cfg Config) ([]Fig10Row, error) {
+func RunFig10(cfg Config) ([]Fig10Row, []Failure, error) {
 	return runGrid(cfg, fig10Cells())
 }
 
@@ -484,7 +433,7 @@ type Fig12Row struct {
 
 // RunFig12 sweeps thread counts on the HT processor (paper §4.4),
 // fanning the sweep grid across up to cfg.Jobs workers.
-func RunFig12(cfg Config, threadCounts []int) ([]Fig12Row, error) {
+func RunFig12(cfg Config, threadCounts []int) ([]Fig12Row, []Failure, error) {
 	return runGrid(cfg, fig12Cells(threadCounts))
 }
 
@@ -516,7 +465,7 @@ type SweepCell struct {
 // RunSweep runs each target benchmark at each thread count on the HT
 // processor and collects full counter files, under cfg's campaign
 // policy (deadline, budget, retries, journal, fault injection).
-func RunSweep(cfg Config, targets []*bench.Benchmark, threadCounts []int) ([]SweepCell, error) {
+func RunSweep(cfg Config, targets []*bench.Benchmark, threadCounts []int) ([]SweepCell, []Failure, error) {
 	return runGrid(cfg, sweepCells(targets, threadCounts))
 }
 
@@ -540,6 +489,6 @@ type GeometryCell struct {
 // thread per hardware context so every seat is filled; single-threaded
 // ones run solo on context 0, measuring the partitioning tax of each
 // shape.
-func RunGeometrySweep(cfg Config, targets []*bench.Benchmark, geos []core.Geometry) ([]GeometryCell, error) {
+func RunGeometrySweep(cfg Config, targets []*bench.Benchmark, geos []core.Geometry) ([]GeometryCell, []Failure, error) {
 	return runGrid(cfg, geometryCells(targets, geos))
 }

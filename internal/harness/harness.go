@@ -283,6 +283,9 @@ type PairResult struct {
 	// Sampling carries the reconstruction record of a sampled pairing
 	// (nil for full simulation).
 	Sampling *sampling.Estimate `json:",omitempty"`
+	// Failed is the failure reason when the campaign gave up on the
+	// pairing (every other field but A and B is then zero).
+	Failed string `json:",omitempty"`
 }
 
 // CombinedSpeedup returns C_AB = SoloA/TimeA + SoloB/TimeB, the paper's
@@ -556,7 +559,7 @@ func runPairOn(cpu *core.CPU, a, b *bench.Benchmark, opts PairOptions) (*PairRes
 	fb.launch()
 	var ro *obs.RunObs
 	if opts.Obs.Enabled() {
-		ro = opts.Obs.Run("pair " + a.Name + "+" + b.Name)
+		ro = opts.Obs.Run(pairLabel(a.Name, b.Name))
 		cpu.AttachObs(ro, 0)
 	}
 	if opts.Cancel != nil {

@@ -91,7 +91,7 @@ func TestFig10StaticPartitionTax(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := RunFig10(Config{Scale: bench.Tiny})
+	rows, _, err := RunFig10(Config{Scale: bench.Tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func mustBench(t *testing.T, name string) *bench.Benchmark {
 
 func TestOptionsPlumbing(t *testing.T) {
 	cfg := cpuConfig(Options{HT: true, Partition: core.DynamicPartition, TCSharedTags: true})
-	if !cfg.HT || cfg.Partition != core.DynamicPartition || !cfg.TC.SharedTags {
+	if cfg.Geometry != (core.Geometry{Cores: 1, ContextsPerCore: 2}) || cfg.Partition != core.DynamicPartition || !cfg.TC.SharedTags {
 		t.Fatal("options not plumbed into core config")
 	}
 	v := vmConfig(bench.Tiny, 1)

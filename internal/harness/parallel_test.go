@@ -64,19 +64,30 @@ func TestRunPairingsParallelDeterminism(t *testing.T) {
 		}
 		progs = append(progs, b)
 	}
-	cfg := DefaultConfig()
-	cfg.Runs = 3
-
-	cfg.Jobs = 1
-	serial, err := RunPairingsOf(progs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The -j 1 and -j 4 campaigns run concurrently, each on its own
+	// Config and result, and are compared only once both have finished.
+	var (
+		results [2]*Pairings
+		errs    [2]error
+		wg      sync.WaitGroup
+	)
+	for i, jobs := range []int{1, 4} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := DefaultConfig()
+			cfg.Runs = 3
+			cfg.Jobs = jobs
+			results[i], errs[i] = RunPairingsOf(progs, cfg)
+		}()
 	}
-	cfg.Jobs = 4
-	parallel, err := RunPairingsOf(progs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	serial, parallel := results[0], results[1]
 
 	for _, cmp := range []struct {
 		name           string
@@ -99,11 +110,11 @@ func TestRunFig12ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serial, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 1}, []int{2})
+	serial, _, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 1}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 4}, []int{2})
+	parallel, _, err := RunFig12(Config{Scale: bench.Tiny, Jobs: 4}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func (c *PolicyCell) IPC() float64 { return c.Counters.IPC() }
 // campaign policy (deadline, budget, retries, journal, fault
 // injection). Cell order is policy-major within mix×geometry so the
 // rendered table's rows group naturally.
-func RunPolicySweep(cfg Config, policies []string, mixes []Mix, geos []core.Geometry) ([]PolicyCell, error) {
+func RunPolicySweep(cfg Config, policies []string, mixes []Mix, geos []core.Geometry) ([]PolicyCell, []Failure, error) {
 	return runGrid(cfg, policyCells(policies, mixes, geos))
 }
 

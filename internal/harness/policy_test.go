@@ -94,7 +94,7 @@ func TestPolicySweepDeterminism(t *testing.T) {
 	run := func(jobs int) []PolicyCell {
 		cfg := DefaultConfig()
 		cfg.Jobs = jobs
-		cells, err := RunPolicySweep(cfg, []string{"naive", "roundrobin-core", "symbiotic-ipc", "contention-aware"},
+		cells, _, err := RunPolicySweep(cfg, []string{"naive", "roundrobin-core", "symbiotic-ipc", "contention-aware"},
 			[]Mix{testMix()}, []core.Geometry{{Cores: 1, ContextsPerCore: 2}})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
@@ -124,7 +124,7 @@ func TestPolicySweepJournalResume(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Journal = openJournal(t, dir, false)
-	want, err := RunPolicySweep(cfg, policies, mixes, geos)
+	want, _, err := RunPolicySweep(cfg, policies, mixes, geos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPolicySweepJournalResume(t *testing.T) {
 	if got := cfg.Journal.Resumed(); got != len(want) {
 		t.Fatalf("resumed %d cells, want %d", got, len(want))
 	}
-	got, err := RunPolicySweep(cfg, policies, mixes, geos)
+	got, _, err := RunPolicySweep(cfg, policies, mixes, geos)
 	if err != nil {
 		t.Fatal(err)
 	}

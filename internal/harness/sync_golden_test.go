@@ -138,17 +138,18 @@ func TestDeadlockBecomesCellError(t *testing.T) {
 	opts.HT = true
 	cfg := DefaultConfig()
 	cfg.Policy.Retries = 0
-	res, fail, err := RunResilient(deadlockBench(), opts, cfg)
+	res, fails, err := RunResilient(deadlockBench(), opts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != nil || fail == nil {
-		t.Fatalf("res=%v fail=%v, want a CellError", res, fail)
+	if res != nil || len(fails) != 1 {
+		t.Fatalf("res=%v fails=%v, want one failure", res, fails)
 	}
-	if fail.Kind != resilience.KindPanic {
-		t.Fatalf("CellError kind = %v, want %v (detection, not budget expiry)", fail.Kind, resilience.KindPanic)
+	fail := fails[0]
+	if fail.Kind != string(resilience.KindPanic) {
+		t.Fatalf("failure kind = %v, want %v (detection, not budget expiry)", fail.Kind, resilience.KindPanic)
 	}
-	if !strings.Contains(fail.Reason(), "deadlock") {
-		t.Fatalf("CellError reason %q does not name the deadlock", fail.Reason())
+	if !strings.Contains(fail.Reason, "deadlock") {
+		t.Fatalf("failure reason %q does not name the deadlock", fail.Reason)
 	}
 }

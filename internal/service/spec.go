@@ -122,18 +122,14 @@ func resolve(spec JobSpec) (*plan, error) {
 		return nil, fmt.Errorf("retries %d is negative", spec.Retries)
 	}
 
-	for _, name := range spec.Benchmarks {
-		b, found := bench.ByName(name)
-		if !found {
-			return nil, fmt.Errorf("unknown benchmark %q", name)
+	if len(spec.Benchmarks) > 0 {
+		if p.benchmarks, err = cli.ParseBenchmarks(strings.Join(spec.Benchmarks, ",")); err != nil {
+			return nil, err
 		}
-		p.benchmarks = append(p.benchmarks, b)
 	}
 	p.threads = spec.Threads
-	for _, t := range p.threads {
-		if t < 1 {
-			return nil, fmt.Errorf("thread count %d must be positive", t)
-		}
+	if err := cli.CheckCounts("thread count", p.threads); err != nil {
+		return nil, err
 	}
 	if len(spec.Geometries) > 0 {
 		p.geos, err = cli.ParseGeometries(strings.Join(spec.Geometries, ","))
@@ -142,20 +138,20 @@ func resolve(spec JobSpec) (*plan, error) {
 		}
 	}
 	p.policies = spec.Policies
+	if err := cli.CheckCounts("mix size", spec.Mixes); err != nil {
+		return nil, err
+	}
 	for _, n := range spec.Mixes {
-		if n < 1 {
-			return nil, fmt.Errorf("mix size %d must be positive", n)
-		}
 		p.mixes = append(p.mixes, harness.ServerMix(n))
 	}
 
+	mode, err := sampling.ParseMode(spec.SimMode)
+	if err != nil {
+		return nil, fmt.Errorf("sim_mode: %w", err)
+	}
 	p.simPlan = sampling.FullPlan()
-	switch spec.SimMode {
-	case "", "full":
-	case "sampled":
+	if mode == sampling.Sampled {
 		p.simPlan = sampling.DefaultSampledPlan()
-	default:
-		return nil, fmt.Errorf("unknown sim_mode %q (want full|sampled)", spec.SimMode)
 	}
 	if spec.CellDeadline != "" {
 		if p.cellDL, err = time.ParseDuration(spec.CellDeadline); err != nil || p.cellDL < 0 {

@@ -24,12 +24,36 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{"policy without axes", JobSpec{Kind: "policy", Policies: []string{"greedy"}}, "needs policies"},
 		{"bad geometry", JobSpec{Kind: "geometry", Geometries: []string{"2by2"}}, "geometry"},
 		{"zero mix", JobSpec{Kind: "policy", Policies: []string{"greedy"}, Mixes: []int{0}, Geometries: []string{"2x2"}}, "mix size"},
+		{"empty benchmark", JobSpec{Kind: "sweep", Benchmarks: []string{""}}, "empty benchmark list"},
 	}
 	for _, tc := range bad {
 		if _, err := resolve(tc.spec); err == nil {
 			t.Errorf("%s: resolve accepted %+v", tc.name, tc.spec)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestResolveSimModeCaseInsensitive: JobSpec's sim_mode goes through
+// the same parser as the CLI's -sim-mode, so "Sampled" names the same
+// campaign as "sampled".
+func TestResolveSimModeCaseInsensitive(t *testing.T) {
+	want, err := resolve(JobSpec{Kind: "sweep", SimMode: "sampled"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.simPlan.Sampled() {
+		t.Fatalf("sim_mode sampled resolved to %+v", want.simPlan)
+	}
+	for _, mode := range []string{"Sampled", "SAMPLED"} {
+		p, err := resolve(JobSpec{Kind: "sweep", SimMode: mode})
+		if err != nil {
+			t.Fatalf("sim_mode %s: %v", mode, err)
+		}
+		if p.simPlan != want.simPlan || p.configString() != want.configString() {
+			t.Errorf("sim_mode %s: plan %+v config %q, want %+v %q",
+				mode, p.simPlan, p.configString(), want.simPlan, want.configString())
 		}
 	}
 }

@@ -260,7 +260,7 @@ func New(cpu *core.CPU, opts Options) *Kernel {
 	if p.MigrationUops == 0 {
 		p.MigrationUops = def.MigrationUops
 	}
-	geo := cpu.Config().Geo()
+	geo := cpu.Config().Geometry
 	k := &Kernel{cpu: cpu, file: cpu.CountersFile(), geo: geo, params: p, policy: opts.Policy}
 	k.view.k = k
 	for i := 0; i < geo.Total(); i++ {
