@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"javasmt/internal/bench"
-	"javasmt/internal/bytecode"
 	"javasmt/internal/core"
 	"javasmt/internal/counters"
 	"javasmt/internal/faultinject"
@@ -145,19 +144,6 @@ func cpuConfig(opts Options) core.Config {
 	return cfg
 }
 
-// newKernel builds the simulated OS for a run — the single place
-// scheduler tuning and the seating policy enter a simulation. Every
-// kernel the harness creates (characterization runs, solo reference
-// measurements, pairings, mixes) comes through here, so an Options
-// change reaches all of them.
-func newKernel(cpu *core.CPU, opts Options) (*simos.Kernel, error) {
-	pol, err := simos.NewPolicy(opts.SchedPolicy)
-	if err != nil {
-		return nil, err
-	}
-	return simos.New(cpu, simos.Options{Params: opts.SchedParams, Policy: pol}), nil
-}
-
 // vmConfig scales the collected heap with the input size so GC activity
 // stays in a realistic band (the paper configured a 512 MB heap for its
 // full-size inputs; see DESIGN.md §5 on scaling).
@@ -199,74 +185,21 @@ func Run(b *bench.Benchmark, opts Options) (*Result, error) {
 // RunWithCPUConfig is Run with an explicit processor configuration, for
 // hardware ablations (cache sizes, penalties) beyond the Options knobs.
 func RunWithCPUConfig(b *bench.Benchmark, opts Options, cfg core.Config) (*Result, error) {
-	threads := opts.Threads
-	if !b.Multithreaded {
-		threads = 1
-	}
-	prog := b.Build(threads, opts.Scale, 0)
+	l := newLane(b, opts.Threads, 0, 0)
 	cpu := core.New(cfg)
-	k, err := newKernel(cpu, opts)
+	sim := &simulation{name: b.Name, opts: opts, lanes: []*lane{l}}
+	est, err := sim.run(cpu)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
+		return nil, err
 	}
-	vm := jvm.New(prog, k, vmConfig(opts.Scale, 0))
-	defer vm.Release()
-	vm.Start()
-	var ro *obs.RunObs
-	if opts.Obs.Enabled() {
-		label := opts.ObsLabel
-		if label == "" {
-			label = b.Name
-		}
-		ro = opts.Obs.RunFor(label, cfg.NumContexts())
-		cpu.AttachObs(ro, 0)
-	}
-	if opts.Cancel != nil {
-		cpu.AttachCancel(opts.Cancel)
-	}
-	ctrl := sampling.NewController(cpu, opts.Plan)
-	cycles, err := ctrl.Run(opts.MaxCycles)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
-	}
-	if opts.MaxCycles > 0 && !cpu.Drained() {
-		return nil, resilience.MarkKind(
-			fmt.Errorf("harness: %s exceeded cycle budget of %d cycles", b.Name, opts.MaxCycles),
-			resilience.KindCycleBudget)
-	}
-	// Reconstruction must land before the final observability flush and
-	// the counter snapshot, so both report whole-run estimates.
-	est := ctrl.Finish()
-	if est != nil {
-		cycles = cpu.Counters().Get(counters.Cycles)
-		ro.SetSampling(samplingInfo(est))
-	}
-	cpu.FinishObs()
-	if opts.Verify {
-		if err := b.Verify(vm, threads, opts.Scale); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-	}
+	ctr := cpu.Counters()
 	return &Result{
 		Benchmark: b.Name,
-		Cycles:    cycles,
-		Counters:  *cpu.Counters(),
-		GCCount:   vm.GCCount(),
+		Cycles:    ctr.Get(counters.Cycles),
+		Counters:  *ctr,
+		GCCount:   l.vm.GCCount(),
 		Sampling:  est,
 	}, nil
-}
-
-// samplingInfo converts a reconstruction estimate into the obs layer's
-// plain record (obs cannot import sampling: it sits below it).
-func samplingInfo(e *sampling.Estimate) *obs.SamplingInfo {
-	return &obs.SamplingInfo{
-		Mode:        e.Mode,
-		Windows:     e.Windows,
-		WindowIPC:   e.WindowIPC,
-		IPCRelErr:   e.IPCRelErr,
-		DetailPct:   e.DetailPct,
-		MeasuredPct: e.MeasuredPct,
-	}
 }
 
 // PairResult is the outcome of one multiprogrammed pairing (§4.2).
@@ -316,76 +249,6 @@ func (p *PairResult) SpeedupB() float64 {
 	return p.SoloB / p.TimeB
 }
 
-// launchHook, when non-nil, sees every VM a repeatingFeeder launches,
-// on the simulation goroutine. Tests use it to watch VM lifetimes.
-var launchHook func(*jvm.VM)
-
-// repeatingFeeder relaunches a benchmark program each time it exits, as
-// the paper's utility program does, recording each completion time.
-type repeatingFeeder struct {
-	b     *bench.Benchmark
-	scale bench.Scale
-	slot  int
-	k     *simos.Kernel
-	cpu   *core.CPU
-
-	// prog is built once on the first launch and reused for every
-	// relaunch: a linked program is immutable during execution (all
-	// mutable state lives in the VM), and rebuilding it dominated the
-	// per-relaunch cost.
-	prog *bytecode.Program
-	// vm is the latest launch. Every earlier one has exited, and a VM
-	// gives its heap back when it exits; release covers this one.
-	vm *jvm.VM
-
-	lastStart   uint64
-	completions []uint64
-	maxRuns     int
-	partner     *repeatingFeeder
-	stopped     bool
-}
-
-// quotaMet reports whether this side has completed its runs.
-func (rf *repeatingFeeder) quotaMet() bool { return len(rf.completions) >= rf.maxRuns }
-
-// partnerDone reports whether the co-scheduled program (if any) has met
-// its quota; solo measurement runs have no partner.
-func (rf *repeatingFeeder) partnerDone() bool {
-	return rf.partner == nil || rf.partner.quotaMet()
-}
-
-// launch starts one fresh instance of the benchmark program. Per the
-// paper's footnote, the shorter benchmark keeps relaunching past its own
-// quota until the partner finishes, so neither program's measured runs
-// include solo execution.
-func (rf *repeatingFeeder) launch() {
-	if rf.prog == nil {
-		rf.prog = rf.b.Build(1, rf.scale, uint64(1+rf.slot)<<26)
-	}
-	rf.vm = jvm.New(rf.prog, rf.k, vmConfig(rf.scale, rf.slot))
-	if launchHook != nil {
-		launchHook(rf.vm)
-	}
-	rf.lastStart = rf.cpu.Now()
-	main := rf.vm.Start()
-	jvm.OnExit(main, func() {
-		rf.completions = append(rf.completions, rf.cpu.Now()-rf.lastStart)
-		if !rf.quotaMet() || !rf.partnerDone() {
-			rf.launch()
-			return
-		}
-		rf.stopped = true
-	})
-}
-
-// release gives back the heap of the latest launch, which is still
-// running when a pairing stops early (canceled, over budget, panicked).
-func (rf *repeatingFeeder) release() {
-	if rf.vm != nil {
-		rf.vm.Release()
-	}
-}
-
 // PairOptions configures the pairing protocol for one pairing. Engine
 // concerns (parallelism, progress) live on Config, which derives a
 // PairOptions per cell.
@@ -395,7 +258,10 @@ type PairOptions struct {
 	// and drops the first and last; we default lower to bound
 	// simulation time — see DESIGN.md §5).
 	Runs int
-	// MaxCycles bounds the whole experiment.
+	// MaxCycles bounds the co-scheduled interval (0 = unlimited). Solo
+	// reference runs are deliberately unbudgeted, like Cancel below:
+	// they are singleflight-cached across cells and across daemon jobs
+	// with different budgets, and the cache is keyed without one.
 	MaxCycles uint64
 	// Obs, when non-nil and enabled, records the co-scheduled interval
 	// as one metrics series and trace track labelled "pair A+B". Solo
@@ -446,21 +312,14 @@ var (
 	soloSims atomic.Uint64
 )
 
-// SoloTime returns the benchmark's HT-off execution time in cycles,
-// measured with the same relaunch-and-average protocol as the paired
-// runs (so cold-start effects cancel out of the speedup ratios, as they
-// do in the paper's long-running measurements), and cached across
-// calls. It is safe for concurrent use: the first caller for a given
-// (benchmark, scale, runs) key simulates, everyone else shares the
-// cached result (including a cached error).
-func SoloTime(b *bench.Benchmark, scale bench.Scale, runs int) (float64, error) {
-	return SoloTimePlan(b, scale, runs, sampling.FullPlan())
-}
-
-// SoloTimePlan is SoloTime under an explicit sampling plan. Solo times
-// measured under different plans are cached separately (the plan's Tag
-// joins the cache key): a sampled campaign's speedup ratios must divide
-// sampled solo times by sampled pair times, never mix modes.
+// SoloTimePlan returns the benchmark's HT-off execution time in cycles,
+// measured under plan with the same relaunch-and-average protocol as the
+// paired runs (so cold-start effects cancel out of the speedup ratios,
+// as they do in the paper's long-running measurements), and cached
+// across calls. It is safe for concurrent use: the first caller for a
+// key simulates, everyone else shares the result (a cached error too).
+// The plan's Tag joins the key: a sampled campaign's speedup ratios
+// must divide sampled solo times by sampled pair times.
 func SoloTimePlan(b *bench.Benchmark, scale bench.Scale, runs int, plan sampling.Plan) (float64, error) {
 	key := fmt.Sprintf("%s/%v/%d%s", b.Name, scale, runs, plan.Tag())
 	soloMu.Lock()
@@ -474,32 +333,17 @@ func SoloTimePlan(b *bench.Benchmark, scale bench.Scale, runs int, plan sampling
 	return e.val, e.err
 }
 
-// measureSolo runs the relaunch-and-average solo measurement itself.
+// measureSolo runs the relaunch-and-average solo measurement itself on
+// an HT-off machine: policy-free, unbudgeted, uncanceled and unobserved,
+// since the cache above is shared by every cell and keyed without them.
 func measureSolo(b *bench.Benchmark, scale bench.Scale, runs int, plan sampling.Plan) (float64, error) {
 	soloSims.Add(1)
-	cpu := core.New(cpuConfig(Options{}))
-	// Solo reference runs are deliberately policy-free (default
-	// Options): a single thread's seating cannot matter, and the
-	// singleflight cache key above carries no policy component.
-	k, err := newKernel(cpu, Options{})
-	if err != nil {
+	l := pairLane(b, 0)
+	sim := &simulation{name: "solo " + b.Name, opts: Options{Scale: scale, Plan: plan}, lanes: []*lane{l}, quota: runs + 2}
+	if _, err := sim.run(core.New(cpuConfig(Options{}))); err != nil {
 		return 0, err
 	}
-	rf := &repeatingFeeder{b: b, scale: scale, slot: 0, k: k, cpu: cpu, maxRuns: runs + 2}
-	defer rf.release()
-	rf.launch()
-	ctrl := sampling.NewController(cpu, plan)
-	for !rf.stopped {
-		n, err := ctrl.Run(10_000_000)
-		if err != nil {
-			return 0, fmt.Errorf("harness: solo %s: %w", b.Name, err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	ctrl.Finish()
-	v, kept := avgDroppingEnds(rf.completions)
+	v, kept := avgDroppingEnds(l.completions)
 	if kept == 0 {
 		return 0, fmt.Errorf("harness: solo %s completed no measurable runs", b.Name)
 	}
@@ -543,50 +387,20 @@ func runPairOn(cpu *core.CPU, a, b *bench.Benchmark, opts PairOptions) (*PairRes
 	if err != nil {
 		return nil, err
 	}
-
-	k, err := newKernel(cpu, Options{SchedPolicy: opts.SchedPolicy, SchedParams: opts.SchedParams})
+	fa, fb := pairLane(a, 0), pairLane(b, 1)
+	sim := &simulation{
+		name: pairLabel(a.Name, b.Name),
+		opts: Options{Scale: opts.Scale, MaxCycles: opts.MaxCycles, Obs: opts.Obs, Cancel: opts.Cancel,
+			Plan: opts.Plan, SchedPolicy: opts.SchedPolicy, SchedParams: opts.SchedParams},
+		lanes: []*lane{fa, fb},
+		// +2: the first (cold) and last (possibly truncated) runs are
+		// dropped, as in the paper.
+		quota: opts.Runs + 2,
+	}
+	est, err := sim.run(cpu)
 	if err != nil {
 		return nil, err
 	}
-	// +2: the first (cold) and last (possibly truncated) runs are
-	// dropped, as in the paper.
-	fa := &repeatingFeeder{b: a, scale: opts.Scale, slot: 0, k: k, cpu: cpu, maxRuns: opts.Runs + 2}
-	fb := &repeatingFeeder{b: b, scale: opts.Scale, slot: 1, k: k, cpu: cpu, maxRuns: opts.Runs + 2}
-	fa.partner, fb.partner = fb, fa
-	defer fa.release()
-	defer fb.release()
-	fa.launch()
-	fb.launch()
-	var ro *obs.RunObs
-	if opts.Obs.Enabled() {
-		ro = opts.Obs.Run(pairLabel(a.Name, b.Name))
-		cpu.AttachObs(ro, 0)
-	}
-	if opts.Cancel != nil {
-		cpu.AttachCancel(opts.Cancel)
-	}
-
-	ctrl := sampling.NewController(cpu, opts.Plan)
-	for !fa.stopped || !fb.stopped {
-		n, err := ctrl.Run(10_000_000)
-		if err != nil {
-			return nil, fmt.Errorf("harness: pair %s+%s: %w", a.Name, b.Name, err)
-		}
-		if n == 0 {
-			break // machine drained (both sides done)
-		}
-		if opts.MaxCycles > 0 && cpu.Now() > opts.MaxCycles {
-			return nil, resilience.MarkKind(
-				fmt.Errorf("harness: pair %s+%s exceeded %d cycles", a.Name, b.Name, opts.MaxCycles),
-				resilience.KindCycleBudget)
-		}
-	}
-
-	est := ctrl.Finish()
-	if est != nil {
-		ro.SetSampling(samplingInfo(est))
-	}
-	cpu.FinishObs()
 	ta, na := avgDroppingEnds(fa.completions)
 	tb, nb := avgDroppingEnds(fb.completions)
 	return &PairResult{

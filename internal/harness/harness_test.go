@@ -7,6 +7,8 @@ import (
 	"javasmt/internal/bench"
 	"javasmt/internal/core"
 	"javasmt/internal/counters"
+	"javasmt/internal/resilience"
+	"javasmt/internal/sampling"
 )
 
 func TestRunSingleBenchmark(t *testing.T) {
@@ -36,11 +38,11 @@ func TestRunMultithreaded(t *testing.T) {
 
 func TestSoloTimeCaching(t *testing.T) {
 	b, _ := bench.ByName("mpegaudio")
-	v1, err := SoloTime(b, bench.Tiny, 3)
+	v1, err := SoloTimePlan(b, bench.Tiny, 3, sampling.FullPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := SoloTime(b, bench.Tiny, 3)
+	v2, err := SoloTimePlan(b, bench.Tiny, 3, sampling.FullPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +73,23 @@ func TestRunPairProtocol(t *testing.T) {
 	}
 	if res.Counters.Get(counters.CyclesDT) == 0 {
 		t.Fatal("pair ran with no dual-thread cycles")
+	}
+}
+
+// A budgeted pairing fails at its cycle budget, not at the end of the
+// relaunch chunk the budget falls in.
+func TestPairStopsAtCycleBudget(t *testing.T) {
+	a, _ := bench.ByName("compress")
+	b, _ := bench.ByName("mpegaudio")
+	opts := DefaultPairOptions()
+	opts.Runs = 2
+	opts.MaxCycles = 50_000
+	cpu := core.New(pairCPUConfig())
+	if _, err := runPairOn(cpu, a, b, opts); resilience.KindOf(err) != resilience.KindCycleBudget {
+		t.Fatalf("pairing returned %v, want a cycle-budget failure", err)
+	}
+	if now := cpu.Now(); now > opts.MaxCycles {
+		t.Fatalf("pairing simulated %d cycles under a %d-cycle budget", now, opts.MaxCycles)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"javasmt/internal/bench"
 	"javasmt/internal/core"
 	"javasmt/internal/jvm"
+	"javasmt/internal/resilience"
+	"javasmt/internal/sampling"
 )
 
 // A relaunching pairing must not keep the VMs of finished runs
@@ -72,58 +74,74 @@ func settledHeaps() int {
 	return n
 }
 
-// A cell canceled mid-run returns with every heap it mapped given
-// back, without waiting for the Go collector: a canceled single run, a
-// canceled mix, and a pairing canceled just after a relaunch.
+// A cell stopped mid-run, canceled or out of cycle budget, fails with
+// the matching error and returns with every heap it mapped given back,
+// without waiting for the Go collector: a single run, a mix, and a
+// pairing, each stopped either way.
 func TestCanceledCellReleasesHeaps(t *testing.T) {
 	a, _ := bench.ByName("compress")
 	b, _ := bench.ByName("mpegaudio")
-	pairOpts := DefaultPairOptions()
-	pairOpts.Runs = 2
-	// Solo reference runs are cached and never canceled; measure them
-	// first so the pairing below launches only its own VMs.
+	const runs = 2
+	// Solo reference runs are cached and never canceled or budgeted;
+	// measure them first so the pairings below launch only their own VMs.
 	for _, x := range []*bench.Benchmark{a, b} {
-		if _, err := SoloTime(x, pairOpts.Scale, pairOpts.Runs); err != nil {
+		if _, err := SoloTimePlan(x, bench.Tiny, runs, sampling.FullPlan()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		run  func(cancel *atomic.Bool) error
+	// A canceled cell is canceled at its cancelAt-th VM launch: the run
+	// and the mix as they start, the pairing just after a relaunch.
+	cells := []struct {
+		name     string
+		cancelAt int
+		run      func(o Options) error
 	}{
-		{"run", func(cancel *atomic.Bool) error {
-			cancel.Store(true)
-			_, err := Run(a, Options{HT: true, Threads: 1, Scale: bench.Tiny, Cancel: cancel})
+		{"run", 1, func(o Options) error {
+			_, err := Run(a, o)
 			return err
 		}},
-		{"mix", func(cancel *atomic.Bool) error {
-			cancel.Store(true)
-			_, err := RunMix(ServerMix(8), Options{HT: true, Scale: bench.Tiny, Cancel: cancel})
+		{"mix", 1, func(o Options) error {
+			_, err := RunMix(ServerMix(8), o)
 			return err
 		}},
-		{"pair", func(cancel *atomic.Bool) error {
-			launches := 0
-			launchHook = func(*jvm.VM) {
-				if launches++; launches == 3 {
-					cancel.Store(true)
+		{"pair", 3, func(o Options) error {
+			_, err := RunPair(a, b, PairOptions{Scale: o.Scale, Runs: runs, MaxCycles: o.MaxCycles, Cancel: o.Cancel})
+			return err
+		}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			t.Run("canceled", func(t *testing.T) {
+				var cancel atomic.Bool
+				launches := 0
+				launchHook = func(*jvm.VM) {
+					if launches++; launches == c.cancelAt {
+						cancel.Store(true)
+					}
 				}
-			}
-			defer func() { launchHook = nil }()
-			opts := pairOpts
-			opts.Cancel = cancel
-			_, err := RunPair(a, b, opts)
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := settledHeaps()
-			var cancel atomic.Bool
-			if err := tc.run(&cancel); !errors.Is(err, core.ErrCanceled) {
-				t.Fatalf("cell returned %v, want a cancellation", err)
-			}
-			if n := jvm.LiveHeaps(); n != base {
-				t.Fatalf("%d heaps live after the canceled cell returned, want %d", n, base)
-			}
+				defer func() { launchHook = nil }()
+				checkStopped(t, c.run, Options{HT: true, Threads: 1, Scale: bench.Tiny, Cancel: &cancel}, func(err error) bool {
+					return errors.Is(err, core.ErrCanceled)
+				})
+			})
+			t.Run("over_budget", func(t *testing.T) {
+				checkStopped(t, c.run, Options{HT: true, Threads: 1, Scale: bench.Tiny, MaxCycles: 50_000}, func(err error) bool {
+					return resilience.KindOf(err) == resilience.KindCycleBudget
+				})
+			})
 		})
+	}
+}
+
+// checkStopped runs one stopped cell and checks its error with want and
+// that the live heap count is back where it started.
+func checkStopped(t *testing.T, run func(Options) error, o Options, want func(error) bool) {
+	t.Helper()
+	base := settledHeaps()
+	if err := run(o); !want(err) {
+		t.Fatalf("cell returned %v", err)
+	}
+	if n := jvm.LiveHeaps(); n != base {
+		t.Fatalf("%d heaps live after the stopped cell returned, want %d", n, base)
 	}
 }

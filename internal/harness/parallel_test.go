@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"javasmt/internal/bench"
+	"javasmt/internal/sampling"
 )
 
 // resetSoloCache clears the solo-time cache so a test can observe cold
@@ -16,7 +17,7 @@ func resetSoloCache() {
 }
 
 // TestSoloTimeSingleflight asserts the singleflight property: many
-// concurrent SoloTime calls for the same key run exactly one simulation
+// concurrent SoloTimePlan calls for the same key run exactly one simulation
 // and all see the same value.
 func TestSoloTimeSingleflight(t *testing.T) {
 	b, _ := bench.ByName("mpegaudio")
@@ -31,7 +32,7 @@ func TestSoloTimeSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = SoloTime(b, bench.Tiny, 3)
+			vals[i], errs[i] = SoloTimePlan(b, bench.Tiny, 3, sampling.FullPlan())
 		}(i)
 	}
 	wg.Wait()

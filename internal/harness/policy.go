@@ -12,9 +12,6 @@ import (
 	"javasmt/internal/bench"
 	"javasmt/internal/core"
 	"javasmt/internal/counters"
-	"javasmt/internal/jvm"
-	"javasmt/internal/obs"
-	"javasmt/internal/resilience"
 	"javasmt/internal/sampling"
 )
 
@@ -112,79 +109,32 @@ func (r *MixResult) IPC() float64 { return r.Counters.IPC() }
 // except Threads is ignored (the mix fixes per-part thread counts) and
 // Verify checks every part's published results.
 func RunMix(m Mix, opts Options) (*MixResult, error) {
-	cfg := cpuConfig(opts)
-	cpu := core.New(cfg)
-	k, err := newKernel(cpu, opts)
-	if err != nil {
-		return nil, fmt.Errorf("harness: mix %s: %w", m.Name, err)
-	}
-	type part struct {
-		b       *bench.Benchmark
-		vm      *jvm.VM
-		threads int
-	}
-	parts := make([]part, 0, len(m.Parts))
+	lanes := make([]*lane, len(m.Parts))
 	for slot, p := range m.Parts {
 		b, ok := bench.ByName(p.Benchmark)
 		if !ok {
 			return nil, fmt.Errorf("harness: mix %s: unknown benchmark %q", m.Name, p.Benchmark)
-		}
-		threads := p.Threads
-		if !b.Multithreaded {
-			threads = 1
 		}
 		// Code bases sit above every heap lane (vmConfig places heaps at
 		// 0x2000_0000 + slot GB) and well clear of simos.KernelCodeBase:
 		// a 16-VM mix's seventh code lane would otherwise alias the first
 		// VM's heap in the shared L2 under the pairing scheme's
 		// (1+slot)<<26 spacing.
-		prog := b.Build(threads, opts.Scale, 1<<40|uint64(slot)<<26)
-		vm := jvm.New(prog, k, vmConfig(opts.Scale, slot))
-		defer vm.Release()
-		vm.Start()
-		parts = append(parts, part{b: b, vm: vm, threads: threads})
+		lanes[slot] = newLane(b, p.Threads, slot, 1<<40|uint64(slot)<<26)
 	}
-	var ro *obs.RunObs
-	if opts.Obs.Enabled() {
-		label := opts.ObsLabel
-		if label == "" {
-			label = "mix " + m.Name
-		}
-		ro = opts.Obs.RunFor(label, cfg.NumContexts())
-		cpu.AttachObs(ro, 0)
-	}
-	if opts.Cancel != nil {
-		cpu.AttachCancel(opts.Cancel)
-	}
-	ctrl := sampling.NewController(cpu, opts.Plan)
-	cycles, err := ctrl.Run(opts.MaxCycles)
+	cpu := core.New(cpuConfig(opts))
+	sim := &simulation{name: "mix " + m.Name, opts: opts, lanes: lanes}
+	est, err := sim.run(cpu)
 	if err != nil {
-		return nil, fmt.Errorf("harness: mix %s: %w", m.Name, err)
+		return nil, err
 	}
-	if opts.MaxCycles > 0 && !cpu.Drained() {
-		return nil, resilience.MarkKind(
-			fmt.Errorf("harness: mix %s exceeded cycle budget of %d cycles", m.Name, opts.MaxCycles),
-			resilience.KindCycleBudget)
-	}
-	est := ctrl.Finish()
-	if est != nil {
-		cycles = cpu.Counters().Get(counters.Cycles)
-		ro.SetSampling(samplingInfo(est))
-	}
-	cpu.FinishObs()
-	if opts.Verify {
-		for _, p := range parts {
-			if err := p.b.Verify(p.vm, p.threads, opts.Scale); err != nil {
-				return nil, fmt.Errorf("harness: mix %s: %w", m.Name, err)
-			}
-		}
-	}
+	ctr := cpu.Counters()
 	return &MixResult{
 		Mix:        m.Name,
 		Threads:    m.Threads(),
-		Cycles:     cycles,
-		Counters:   *cpu.Counters(),
-		Migrations: cpu.Counters().Get(counters.ThreadMigrations),
+		Cycles:     ctr.Get(counters.Cycles),
+		Counters:   *ctr,
+		Migrations: ctr.Get(counters.ThreadMigrations),
 		Sampling:   est,
 	}, nil
 }

@@ -231,7 +231,7 @@ func (c *cpuState) deschedule(t *Thread, now uint64) {
 
 // Options configures a kernel: scheduler tuning plus the seating policy.
 // It is the single constructor-surface for every layer above (the
-// harness's newKernel derives one from its own Options).
+// harness's simulation path derives one from its own Options).
 type Options struct {
 	// Params tunes the timeslicer. Zero fields take their DefaultParams
 	// values, so a partial override (say, only Timeslice) keeps the rest

@@ -17,7 +17,8 @@
 # -policy naive byte-identical to the seed scheduler, and the campaign
 # daemon (DESIGN.md §13) must survive kill -9 with a byte-identical
 # resume, serve identical resubmissions from its cache, and reject
-# overload with 429 (scripts/service_smoke.sh), and the JVM memory
+# overload with 429 (scripts/service_smoke.sh), a budgeted report must
+# fail every cell at its cycle budget, and the JVM memory
 # model (DESIGN.md §14) must hold its litmus matrix — forbidden
 # outcomes never, TSO relaxations in the fence-free controls — under
 # the race detector (scripts/litmus.sh).
@@ -106,6 +107,23 @@ fi
 if "$tmp/pairings" -all -benches compress,mpegaudio,db -runs 2 -j 8 -q \
     -sim-mode sampled -journal "$tmp/journal" -resume > /dev/null 2>&1; then
 	echo "verify: sampled resume of a full-mode journal was not refused" >&2
+	exit 1
+fi
+
+echo "== failure path (every report cell fails at its cycle budget) =="
+# The four paper drivers (characterization, pairings, fig10, fig12)
+# under a 1000-cycle budget: the run exits 1 and every failure line
+# names the budget.
+go build -o "$tmp/report" ./cmd/report
+code=0
+"$tmp/report" -q -runs 2 -cycle-budget 1000 > /dev/null 2> "$tmp/fail.txt" || code=$?
+if [ "$code" -ne 1 ]; then
+	echo "verify: budgeted report exited $code, want 1" >&2
+	exit 1
+fi
+grep -q 'exceeded cycle budget' "$tmp/fail.txt"
+if grep '^  ' "$tmp/fail.txt" | grep -v 'exceeded cycle budget'; then
+	echo "verify: a budgeted report cell failed for another reason" >&2
 	exit 1
 fi
 
