@@ -25,6 +25,7 @@ import (
 	"javasmt/internal/core"
 	"javasmt/internal/counters"
 	"javasmt/internal/harness"
+	"javasmt/internal/simos"
 )
 
 func main() {
@@ -33,6 +34,8 @@ func main() {
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		threads   = flag.Int("threads", 1, "Java threads for multithreaded benchmarks")
 		ht        = flag.Bool("ht", false, "enable Hyper-Threading")
+		cores     = flag.Int("cores", 0, "machine geometry: physical cores (with -contexts; 0 = the classic -ht machine)")
+		contexts  = flag.Int("contexts", 0, "machine geometry: hardware contexts per core (with -cores)")
 		partition = flag.String("partition", "static", "resource partition: static|dynamic")
 		tcShared  = flag.Bool("tc-shared-tags", false, "ablation: share trace-cache lines across contexts")
 		noVerify  = flag.Bool("no-verify", false, "skip result verification against the Go mirror")
@@ -40,6 +43,10 @@ func main() {
 	cf := cli.Register("javasmt", flag.CommandLine, cli.Options{})
 	flag.Parse()
 	c := cf.MustFinish()
+	geo := core.Geometry{Cores: *cores, ContextsPerCore: *contexts}
+	if (geo != core.Geometry{}) && (geo.Cores <= 0 || geo.ContextsPerCore <= 0) {
+		c.Usagef("-cores and -contexts must be given together as positive counts (got %v)", geo)
+	}
 
 	if *list {
 		fmt.Print(harness.Table1())
@@ -51,7 +58,7 @@ func main() {
 	}
 	opts := harness.Options{
 		HT:           *ht,
-		Geometry:     c.Geometry,
+		Geometry:     geo,
 		Threads:      *threads,
 		Scale:        c.Scale,
 		Verify:       !*noVerify,
@@ -59,7 +66,7 @@ func main() {
 		Obs:          c.Obs,
 		Plan:         c.Plan,
 		SchedPolicy:  c.SchedPolicy,
-		SchedParams:  c.SchedParams(),
+		SchedParams:  simos.Params{Timeslice: c.Timeslice},
 	}
 	if *partition == "dynamic" {
 		opts.Partition = core.DynamicPartition
@@ -67,27 +74,25 @@ func main() {
 		c.Usagef("unknown partition %q", *partition)
 	}
 
-	j, err := c.OpenJournal(fmt.Sprintf("javasmt bench=%s threads=%d scale=%v ht=%v partition=%s",
-		b.Name, *threads, c.Scale, *ht, *partition))
+	own := fmt.Sprintf("javasmt bench=%s threads=%d scale=%v ht=%v partition=%s", b.Name, *threads, c.Scale, *ht, *partition)
+	if (geo != core.Geometry{}) {
+		own += fmt.Sprintf(" geo=%v", geo)
+	}
+	j, err := c.OpenJournal(c.Identity(own))
 	if err != nil {
 		c.Fatal(err)
 	}
-	res, failed, err := harness.RunResilient(b, opts, c.HarnessConfig(j))
+	res, failed, err := harness.RunResilient(b, opts, c.Attach(harness.Config{Scale: c.Scale, Policy: c.Policy}, j))
 	if err != nil {
 		c.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(j)
 	c.ExitFailures(failed)
 
 	f := &res.Counters
 	machine := fmt.Sprintf("ht=%v", *ht)
-	if (c.Geometry != core.Geometry{}) {
-		machine = fmt.Sprintf("geo=%v", c.Geometry)
+	if (geo != core.Geometry{}) {
+		machine = fmt.Sprintf("geo=%v", geo)
 	}
 	fmt.Printf("benchmark    %s (threads=%d scale=%v %s partition=%s)\n",
 		b.Name, *threads, c.Scale, machine, *partition)

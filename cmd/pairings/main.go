@@ -25,6 +25,7 @@ import (
 	"javasmt/internal/cli"
 	"javasmt/internal/counters"
 	"javasmt/internal/harness"
+	"javasmt/internal/service"
 )
 
 func main() {
@@ -39,45 +40,31 @@ func main() {
 	flag.Parse()
 	c := cf.MustFinish()
 
-	cfg := c.HarnessConfig(nil)
-	cfg.Runs = *runs
-	cfg.Progress = c.Progress()
-
 	if *all {
-		targets := bench.SingleThreaded()
+		spec := service.JobSpec{Kind: "pairings", Runs: *runs}
 		if *benches != "" {
-			var err error
-			if targets, err = cli.ParseBenchmarks(*benches); err != nil {
-				c.Usagef("-benches: %v", err)
-			}
+			spec.Benchmarks = strings.Split(*benches, ",")
 		}
-		var names []string
-		for _, b := range targets {
-			names = append(names, b.Name)
-		}
-		j, err := c.OpenJournal(fmt.Sprintf("pairings scale=%v runs=%d benches=%s",
-			c.Scale, *runs, strings.Join(names, ",")))
+		p := resolve(c, spec)
+		j, err := c.OpenJournal(p.Identity())
 		if err != nil {
 			c.Fatal(err)
 		}
-		cfg.Journal = j
-		p, err := harness.RunPairingsOf(targets, cfg)
+		res, err := harness.RunPairingsOf(p.Benchmarks, c.Attach(p.Config(), j))
 		if err != nil {
 			c.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			c.Fatal(err)
-		}
-		if err := c.WriteObs(); err != nil {
-			c.Fatal(err)
-		}
-		fmt.Println(p.Fig8())
-		fmt.Println(p.Fig9())
-		fmt.Println(p.Fig11())
-		c.ExitFailures(p.Failed)
+		c.Close(j)
+		fmt.Println(res.Fig8())
+		fmt.Println(res.Fig9())
+		fmt.Println(res.Fig11())
+		c.ExitFailures(res.Failed)
 		return
 	}
 
+	// One pair is one cell of the pairings campaign over its two
+	// programs: it runs under that campaign's configuration and keeps an
+	// identity of its own.
 	a, ok := bench.ByName(*aName)
 	if !ok {
 		c.Fatal(fmt.Errorf("unknown benchmark %q", *aName))
@@ -86,21 +73,16 @@ func main() {
 	if !ok {
 		c.Fatal(fmt.Errorf("unknown benchmark %q", *bName))
 	}
-	j, err := c.OpenJournal(fmt.Sprintf("pair scale=%v runs=%d", c.Scale, *runs))
+	cfg := resolve(c, service.JobSpec{Kind: "pairings", Benchmarks: []string{a.Name, b.Name}, Runs: *runs}).Config()
+	j, err := c.OpenJournal(c.Identity(fmt.Sprintf("pair scale=%v runs=%d", cfg.Scale, cfg.Runs)))
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg.Journal = j
-	res, failed, err := harness.RunPairCell(a, b, cfg)
+	res, failed, err := harness.RunPairCell(a, b, c.Attach(cfg, j))
 	if err != nil {
 		c.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(j)
 	c.ExitFailures(failed)
 	f := &res.Counters
 	fmt.Printf("pair            %s + %s\n", res.A, res.B)
@@ -113,4 +95,14 @@ func main() {
 		f.PerKiloInstr(counters.TCMisses), f.PerKiloInstr(counters.L1DMisses),
 		f.PerKiloInstr(counters.L2Misses), f.Rate(counters.BTBMisses, counters.Branches),
 		f.DTModePercent())
+}
+
+// resolve resolves a pairings campaign from the flags, exiting 2 on a
+// bad one.
+func resolve(c *cli.Common, spec service.JobSpec) *service.Plan {
+	p, err := service.ResolveFlags(spec, c)
+	if err != nil {
+		c.Usagef("%v", err)
+	}
+	return p
 }

@@ -21,10 +21,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"javasmt/internal/cli"
 	"javasmt/internal/harness"
+	"javasmt/internal/service"
 )
 
 func main() {
@@ -44,80 +46,73 @@ func main() {
 		}
 	}
 	want := func(name string) bool { return all || *sel[name] }
-	var selected []string
-	for _, name := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
+	show := func(name string, render func() string) {
 		if want(name) {
-			selected = append(selected, name)
+			fmt.Println(render())
 		}
 	}
 
-	j, err := c.OpenJournal(fmt.Sprintf("report scale=%v runs=%d items=%s",
-		c.Scale, *runs, strings.Join(selected, ",")))
+	// Each campaign kind the selection needs resolves like a daemon job
+	// of that kind; the journal's identity joins theirs.
+	plans := map[string]*service.Plan{}
+	var ids []string
+	for _, k := range []struct {
+		kind  string
+		items []string
+	}{
+		{"characterization", []string{"table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"}},
+		{"pairings", []string{"fig8", "fig9", "fig11"}},
+		{"fig10", []string{"fig10"}},
+		{"fig12", []string{"fig12"}},
+	} {
+		if !slices.ContainsFunc(k.items, want) {
+			continue
+		}
+		p, err := service.ResolveFlags(service.JobSpec{Kind: k.kind, Runs: *runs}, c)
+		if err != nil {
+			c.Usagef("%v", err)
+		}
+		plans[k.kind] = p
+		ids = append(ids, p.Identity())
+	}
+	j, err := c.OpenJournal(strings.Join(ids, "; "))
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := c.HarnessConfig(j)
-	cfg.Runs = *runs
-	cfg.Progress = c.Progress()
+	cfg := func(kind string) harness.Config { return c.Attach(plans[kind].Config(), j) }
 	var failed []harness.Failure
 
-	if want("table1") {
-		fmt.Println(harness.Table1())
-	}
+	show("table1", harness.Table1)
 
-	needChar := want("table2") || want("fig1") || want("fig2") || want("fig3") ||
-		want("fig4") || want("fig5") || want("fig6") || want("fig7")
-	if needChar {
-		ch, err := harness.RunCharacterization(cfg)
+	if plans["characterization"] != nil {
+		ch, err := harness.RunCharacterization(cfg("characterization"))
 		if err != nil {
 			c.Fatal(err)
 		}
 		failed = append(failed, ch.Failed...)
-		if want("table2") {
-			fmt.Println(ch.Table2())
-		}
-		if want("fig1") {
-			fmt.Println(ch.Fig1())
-		}
-		if want("fig2") {
-			fmt.Println(ch.Fig2())
-		}
-		if want("fig3") {
-			fmt.Println(ch.Fig3())
-		}
-		if want("fig4") {
-			fmt.Println(ch.Fig4())
-		}
-		if want("fig5") {
-			fmt.Println(ch.Fig5())
-		}
-		if want("fig6") {
-			fmt.Println(ch.Fig6())
-		}
-		if want("fig7") {
-			fmt.Println(ch.Fig7())
-		}
+		show("table2", ch.Table2)
+		show("fig1", ch.Fig1)
+		show("fig2", ch.Fig2)
+		show("fig3", ch.Fig3)
+		show("fig4", ch.Fig4)
+		show("fig5", ch.Fig5)
+		show("fig6", ch.Fig6)
+		show("fig7", ch.Fig7)
 	}
 
-	if want("fig8") || want("fig9") || want("fig11") {
-		p, err := harness.RunPairings(cfg)
+	if plans["pairings"] != nil {
+		p, err := harness.RunPairingsOf(plans["pairings"].Benchmarks, cfg("pairings"))
 		if err != nil {
 			c.Fatal(err)
 		}
 		failed = append(failed, p.Failed...)
-		if want("fig8") {
-			fmt.Println(p.Fig8())
-		}
-		if want("fig9") {
-			fmt.Println(p.Fig9())
-		}
-		if want("fig11") {
-			fmt.Println(p.Fig11())
-		}
+		show("fig8", p.Fig8)
+		show("fig9", p.Fig9)
+		show("fig11", p.Fig11)
 	}
 
-	if want("fig10") {
-		rows, fails, err := harness.RunFig10(cfg)
+	if plans["fig10"] != nil {
+		rows, fails, err := harness.RunFig10(cfg("fig10"))
 		if err != nil {
 			c.Fatal(err)
 		}
@@ -125,8 +120,8 @@ func main() {
 		fmt.Println(harness.RenderFig10(rows))
 	}
 
-	if want("fig12") {
-		rows, fails, err := harness.RunFig12(cfg, []int{1, 2, 4, 8, 16})
+	if plans["fig12"] != nil {
+		rows, fails, err := harness.RunFig12(cfg("fig12"), plans["fig12"].Threads)
 		if err != nil {
 			c.Fatal(err)
 		}
@@ -134,11 +129,6 @@ func main() {
 		fmt.Println(harness.RenderFig12(rows))
 	}
 
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
+	c.Close(j)
 	c.ExitFailures(failed)
 }

@@ -38,193 +38,145 @@ import (
 	"javasmt/internal/cli"
 	"javasmt/internal/counters"
 	"javasmt/internal/harness"
-	"javasmt/internal/simos"
+	"javasmt/internal/service"
 )
 
 func main() {
 	var (
 		name     = flag.String("bench", "", "single benchmark (default: all multithreaded)")
 		benches  = flag.String("benches", "", "comma-separated benchmark list (Table 1 and sync-stress names); overrides -bench")
-		threads  = flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
-		geoList  = flag.String("geos", "", "comma-separated machine geometries (CORESxCONTEXTS, e.g. 1x2,2x2); replaces the thread axis")
+		threads  = flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16)")
+		geoList  = flag.String("geos", "", "comma-separated machine geometries (CORESxCONTEXTS, e.g. 1x2,2x2); replaces the thread axis (with -policies: default 1x2,2x2,4x4)")
 		policies = flag.String("policies", "", "comma-separated seating policies, or `all`; compares them on server mixes (-mixes) per geometry")
-		mixes    = flag.String("mixes", "32,64,128", "with -policies: comma-separated server-mix sizes in total software threads")
+		mixes    = flag.String("mixes", "", "with -policies: comma-separated server-mix sizes in total software threads (default 32,64,128)")
 	)
 	cf := cli.Register("sweep", flag.CommandLine, cli.Options{Jobs: true})
 	flag.Parse()
 	c := cf.MustFinish()
 
-	if *policies != "" {
-		policySweep(c, *policies, *mixes, *geoList)
-		return
+	var spec service.JobSpec
+	switch {
+	case *policies != "":
+		spec = service.JobSpec{Kind: "policy", Policies: list(*policies), Mixes: counts(c, "mix size", *mixes),
+			Geometries: list(*geoList)}
+	case *geoList != "":
+		spec = service.JobSpec{Kind: "geometry", Benchmarks: targets(c, *benches, *name, false), Geometries: list(*geoList)}
+	default:
+		spec = service.JobSpec{Kind: "sweep", Benchmarks: targets(c, *benches, *name, true),
+			Threads: counts(c, "thread count", *threads)}
 	}
-	if *geoList != "" {
-		geometrySweep(c, *name, *benches, *geoList)
-		return
-	}
-
-	counts, err := cli.ParseCounts("thread count", *threads)
+	p, err := service.ResolveFlags(spec, c)
 	if err != nil {
 		c.Usagef("%v", err)
 	}
-
-	targets := bench.Multithreaded()
-	if *benches != "" {
-		targets = parseBenches(c, *benches)
-	} else if *name != "" {
-		b, ok := bench.ByName(*name)
-		if !ok || !b.Multithreaded {
-			c.Usagef("%q is not a multithreaded benchmark", *name)
-		}
-		targets = []*bench.Benchmark{b}
-	}
-	var names []string
-	for _, b := range targets {
-		names = append(names, b.Name)
-	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v benches=%s threads=%s",
-		c.Scale, strings.Join(names, ","), *threads))
+	j, err := c.OpenJournal(p.Identity())
 	if err != nil {
 		c.Fatal(err)
 	}
-	cells, failed, err := harness.RunSweep(c.HarnessConfig(j), targets, counts)
+	cfg := c.Attach(p.Config(), j)
+	var out strings.Builder
+	var failed []harness.Failure
+	switch spec.Kind {
+	case "policy":
+		failed = policySweep(c, cfg, p, &out)
+	case "geometry":
+		failed = geometrySweep(c, cfg, p, &out)
+	default:
+		failed = threadSweep(c, cfg, p, &out)
+	}
+	c.Close(j)
+	fmt.Print(out.String())
+	c.ExitFailures(failed)
+}
+
+// list splits a comma-separated flag value; empty means not given.
+func list(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
+}
+
+// targets is the -benches list, else the one -bench benchmark, else nil
+// (the kind's default set); a thread sweep takes only a multithreaded
+// -bench.
+func targets(c *cli.Common, benches, name string, multithreaded bool) []string {
+	if benches != "" {
+		return list(benches)
+	}
+	if name == "" {
+		return nil
+	}
+	if b, ok := bench.ByName(name); multithreaded && (!ok || !b.Multithreaded) {
+		c.Usagef("%q is not a multithreaded benchmark", name)
+	}
+	return []string{name}
+}
+
+// counts parses a comma-separated count flag, exiting 2 on a bad one;
+// empty means not given.
+func counts(c *cli.Common, what, s string) []int {
+	if s == "" {
+		return nil
+	}
+	ns, err := cli.ParseCounts(what, s)
+	if err != nil {
+		c.Usagef("%v", err)
+	}
+	return ns
+}
+
+// threadSweep runs the thread-count axis: each target benchmark at each
+// -threads count.
+func threadSweep(c *cli.Common, cfg harness.Config, p *service.Plan, out *strings.Builder) []harness.Failure {
+	cells, failed, err := harness.RunSweep(cfg, p.Benchmarks, p.Threads)
 	if err != nil {
 		c.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
-
-	fmt.Printf("%-12s %8s %8s %10s %10s %8s %10s %12s\n",
+	fmt.Fprintf(out, "%-12s %8s %8s %10s %10s %8s %10s %12s\n",
 		"benchmark", "threads", "IPC", "L1D/1k", "OS %", "DT %", "lockCont", "fenceStall")
 	for _, cell := range cells {
 		if cell.Failed != "" {
-			fmt.Printf("%-12s %8d FAILED(%s)\n", cell.Benchmark, cell.Threads, cell.Failed)
+			fmt.Fprintf(out, "%-12s %8d FAILED(%s)\n", cell.Benchmark, cell.Threads, cell.Failed)
 			continue
 		}
 		f := &cell.Counters
-		fmt.Printf("%-12s %8d %8.3f %10.2f %9.1f%% %7.1f%% %10d %12d\n",
+		fmt.Fprintf(out, "%-12s %8d %8.3f %10.2f %9.1f%% %7.1f%% %10d %12d\n",
 			cell.Benchmark, cell.Threads, f.IPC(), f.PerKiloInstr(counters.L1DMisses),
 			f.OSCyclePercent(), f.DTModePercent(),
 			f.Get(counters.LockContended), f.Get(counters.FenceStallCycles))
 	}
-	c.ExitFailures(failed)
-}
-
-// parseBenches parses the -benches list, exiting 2 on a bad one.
-func parseBenches(c *cli.Common, list string) []*bench.Benchmark {
-	out, err := cli.ParseBenchmarks(list)
-	if err != nil {
-		c.Usagef("-benches: %v", err)
-	}
-	return out
+	return failed
 }
 
 // policySweep runs the seating-policy axis: each server mix under each
 // policy on each geometry, rendered as the policy comparison table.
-func policySweep(c *cli.Common, policyList, mixList, geoList string) {
-	var pols []string
-	if policyList == "all" {
-		pols = simos.PolicyNames()
-	} else {
-		for _, p := range strings.Split(policyList, ",") {
-			p = strings.TrimSpace(p)
-			if _, err := simos.NewPolicy(p); err != nil || p == "" {
-				c.Usagef("bad policy %q (want one of %s, or all)", p, strings.Join(simos.PolicyNames(), "|"))
-			}
-			pols = append(pols, p)
-		}
-	}
-	if geoList == "" {
-		geoList = "1x2,2x2,4x4"
-	}
-	geos, err := cli.ParseGeometries(geoList)
-	if err != nil {
-		c.Usagef("%v", err)
-	}
-	sizes, err := cli.ParseCounts("mix size", mixList)
-	if err != nil {
-		c.Usagef("%v", err)
-	}
-	var ms []harness.Mix
-	for _, n := range sizes {
-		ms = append(ms, harness.ServerMix(n))
-	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v policies=%s mixes=%s geos=%s",
-		c.Scale, strings.Join(pols, ","), mixList, geoList))
+func policySweep(c *cli.Common, cfg harness.Config, p *service.Plan, out *strings.Builder) []harness.Failure {
+	cells, failed, err := harness.RunPolicySweep(cfg, p.Policies, p.Mixes, p.Geos)
 	if err != nil {
 		c.Fatal(err)
 	}
-	cfg := c.HarnessConfig(j)
-	cfg.Progress = c.Progress()
-	cells, failed, err := harness.RunPolicySweep(cfg, pols, ms, geos)
-	if err != nil {
-		c.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
-
-	fmt.Print(harness.RenderPolicySweep(cells))
-	c.ExitFailures(failed)
+	out.WriteString(harness.RenderPolicySweep(cells))
+	return failed
 }
 
 // geometrySweep runs the machine-shape axis: each target benchmark on
 // each -geos geometry.
-func geometrySweep(c *cli.Common, name, benches, geoList string) {
-	geos, err := cli.ParseGeometries(geoList)
-	if err != nil {
-		c.Usagef("%v", err)
-	}
-	targets := bench.All()
-	if benches != "" {
-		targets = parseBenches(c, benches)
-	} else if name != "" {
-		b, ok := bench.ByName(name)
-		if !ok {
-			c.Usagef("unknown benchmark %q", name)
-		}
-		targets = []*bench.Benchmark{b}
-	}
-	var names []string
-	for _, b := range targets {
-		names = append(names, b.Name)
-	}
-
-	j, err := c.OpenJournal(fmt.Sprintf("sweep scale=%v benches=%s geos=%s",
-		c.Scale, strings.Join(names, ","), geoList))
+func geometrySweep(c *cli.Common, cfg harness.Config, p *service.Plan, out *strings.Builder) []harness.Failure {
+	cells, failed, err := harness.RunGeometrySweep(cfg, p.Benchmarks, p.Geos)
 	if err != nil {
 		c.Fatal(err)
 	}
-	cells, failed, err := harness.RunGeometrySweep(c.HarnessConfig(j), targets, geos)
-	if err != nil {
-		c.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		c.Fatal(err)
-	}
-	if err := c.WriteObs(); err != nil {
-		c.Fatal(err)
-	}
-
-	fmt.Printf("%-12s %8s %8s %8s %10s %10s %8s\n", "benchmark", "geo", "threads", "IPC", "L1D/1k", "OS %", "DT %")
+	fmt.Fprintf(out, "%-12s %8s %8s %8s %10s %10s %8s\n", "benchmark", "geo", "threads", "IPC", "L1D/1k", "OS %", "DT %")
 	for _, cell := range cells {
 		if cell.Failed != "" {
-			fmt.Printf("%-12s %8v FAILED(%s)\n", cell.Benchmark, cell.Geometry, cell.Failed)
+			fmt.Fprintf(out, "%-12s %8v FAILED(%s)\n", cell.Benchmark, cell.Geometry, cell.Failed)
 			continue
 		}
 		f := &cell.Counters
-		fmt.Printf("%-12s %8v %8d %8.3f %10.2f %9.1f%% %7.1f%%\n",
+		fmt.Fprintf(out, "%-12s %8v %8d %8.3f %10.2f %9.1f%% %7.1f%%\n",
 			cell.Benchmark, cell.Geometry, cell.Threads, f.IPC(), f.PerKiloInstr(counters.L1DMisses),
 			f.OSCyclePercent(), f.DTModePercent())
 	}
-	c.ExitFailures(failed)
+	return failed
 }

@@ -1,11 +1,15 @@
 // Package cli is the flag surface shared by the repository's commands:
-// scale selection, engine parallelism, quiet mode, invariant checks,
-// the observability outputs (-metrics, -trace, -sample), and the
-// campaign resilience block (-deadline, -cycle-budget, -retries,
-// -inject, -journal, -resume, -journal-sync). Each tool registers the
-// block once,
-// parses, and resolves it into a Common that carries the scale, job
-// count, resilience policy and (possibly nil) obs.Sink.
+// scale selection (-scale), engine parallelism (-j), quiet mode (-q),
+// invariant checks (-checks), the observability outputs (-metrics,
+// -trace, -sample), the campaign resilience block (-deadline,
+// -cycle-budget, -retries, -inject, -journal, -resume, -journal-sync),
+// the simulation regime (-sim-mode, -ff-interval, -warmup, -window) and
+// the simulated scheduler (-policy, -timeslice). Each tool registers the
+// block once, parses, and resolves it into a Common that carries the
+// scale, job count, resilience policy, sampling plan, scheduler and
+// (possibly nil) obs.Sink. The grid tools turn a Common into a campaign
+// through service.ResolveFlags; Clauses formats the identity clauses
+// every campaign shares, grid or single cell.
 package cli
 
 import (
@@ -141,9 +145,6 @@ type Flags struct {
 	warmup     *uint64
 	window     *uint64
 
-	cores    *int
-	contexts *int
-
 	policy    *string
 	timeslice *uint64
 }
@@ -170,8 +171,6 @@ func Register(tool string, fs *flag.FlagSet, opt Options) *Flags {
 	f.ffInterval = fs.Uint64("ff-interval", def.FFUops, "sampled mode: unwarmed fast-forward `uops` per interval")
 	f.warmup = fs.Uint64("warmup", def.WarmupUops, "sampled mode: warmed functional `uops` before each detailed window")
 	f.window = fs.Uint64("window", def.WindowCycles, "sampled mode: detailed-window length in `cycles`")
-	f.cores = fs.Int("cores", 0, "machine geometry: physical cores (with -contexts; 0 = the classic -ht machine)")
-	f.contexts = fs.Int("contexts", 0, "machine geometry: hardware contexts per core (with -cores)")
 	f.policy = fs.String("policy", "",
 		"seating `policy`: "+strings.Join(simos.PolicyNames(), "|")+" (default naive, the seed FIFO)")
 	f.timeslice = fs.Uint64("timeslice", 0, "scheduler timeslice in `cycles` (0 = built-in default)")
@@ -200,10 +199,6 @@ type Common struct {
 	// -window; the zero value (full detailed simulation) when -sim-mode
 	// is absent or "full".
 	Plan sampling.Plan
-	// Geometry is the machine shape from -cores/-contexts; the zero value
-	// (neither flag given) defers to each tool's HT flag, keeping legacy
-	// invocations byte-identical.
-	Geometry core.Geometry
 	// SchedPolicy is the -policy seating policy name ("" = naive, the
 	// seed FIFO); Timeslice is the -timeslice override in cycles (0 =
 	// the scheduler's built-in default).
@@ -279,13 +274,6 @@ func (f *Flags) Finish() (*Common, error) {
 	if _, err := simos.NewPolicy(*f.policy); err != nil {
 		return nil, err
 	}
-	geo := core.Geometry{Cores: *f.cores, ContextsPerCore: *f.contexts}
-	if (geo != core.Geometry{}) {
-		if geo.Cores <= 0 || geo.ContextsPerCore <= 0 {
-			return nil, fmt.Errorf("-cores and -contexts must be given together as positive counts (got %dx%d)",
-				geo.Cores, geo.ContextsPerCore)
-		}
-	}
 	scale, err := ParseScale(*f.scale)
 	if err != nil {
 		return nil, err
@@ -300,7 +288,6 @@ func (f *Flags) Finish() (*Common, error) {
 		},
 		Inject:      inject,
 		Plan:        plan,
-		Geometry:    geo,
 		SchedPolicy: *f.policy,
 		Timeslice:   *f.timeslice,
 		tool:        f.tool,
@@ -361,74 +348,56 @@ func (c *Common) WriteObs() error {
 	return nil
 }
 
-// GeometryTag is the journal-config descriptor of the machine shape:
-// empty with no -cores/-contexts (so journals written before geometry
-// existed keep their exact config strings) and a canonical " geo=MxN"
-// clause otherwise.
-func (c *Common) GeometryTag() string {
-	if (c.Geometry == core.Geometry{}) {
-		return ""
+// Clauses formats the identity clauses every campaign shares, grid or
+// single cell: the cycle budget, the sampling regime and the scheduler.
+// A grid campaign's identity (service.Plan.Identity) ends with them and
+// a single-cell tool appends them to its own (Identity), so resuming a
+// journal under a different budget, simulation mode, sampling regime or
+// scheduler — whose cells would not be comparable — is refused in one
+// place for every tool and for the daemon.
+func Clauses(cycleBudget uint64, sim sampling.Plan, schedPolicy string, timeslice uint64) string {
+	var sb strings.Builder
+	if cycleBudget > 0 {
+		fmt.Fprintf(&sb, " cycle-budget=%d", cycleBudget)
 	}
-	return fmt.Sprintf(" geo=%v", c.Geometry)
+	sb.WriteString(sim.Tag())
+	if schedPolicy != "" {
+		sb.WriteString(" policy=" + schedPolicy)
+	}
+	if timeslice != 0 {
+		fmt.Fprintf(&sb, " timeslice=%d", timeslice)
+	}
+	return sb.String()
 }
 
-// PolicyTag is the journal-config descriptor of the scheduling
-// configuration: empty with no -policy/-timeslice (so journals written
-// before policies existed keep their exact config strings) and
-// canonical " policy=NAME"/" timeslice=N" clauses otherwise.
-func (c *Common) PolicyTag() string {
-	tag := ""
-	if c.SchedPolicy != "" {
-		tag += " policy=" + c.SchedPolicy
-	}
-	if c.Timeslice != 0 {
-		tag += fmt.Sprintf(" timeslice=%d", c.Timeslice)
-	}
-	return tag
+// Identity is a single-cell tool's campaign identity: its own clauses
+// followed by the shared ones the flags set.
+func (c *Common) Identity(own string) string {
+	return own + Clauses(c.Policy.CycleBudget, c.Plan, c.SchedPolicy, c.Timeslice)
 }
 
-// SchedParams returns the simos scheduler tuning from the flags: the
-// zero value unless -timeslice was given (simos.New fills unset fields
-// from DefaultParams).
-func (c *Common) SchedParams() simos.Params {
-	return simos.Params{Timeslice: c.Timeslice}
-}
-
-// HarnessConfig is the campaign configuration the flags describe,
-// journaling into j (nil for none). Runs and Progress keep their
-// defaults; tools that differ set them on the result.
-func (c *Common) HarnessConfig(j *resilience.Journal) harness.Config {
-	cfg := harness.DefaultConfig()
-	cfg.Scale = c.Scale
-	cfg.Jobs = c.Jobs
-	cfg.Obs = c.Obs
-	cfg.Policy = c.Policy
-	cfg.Inject = c.Inject
-	cfg.Journal = j
-	cfg.Plan = c.Plan
-	cfg.SchedPolicy = c.SchedPolicy
-	cfg.SchedParams = c.SchedParams()
+// Attach adds the command line's engine pieces to a campaign
+// configuration: the -j worker count, progress, the obs sink, the fault
+// injector and the journal j (nil for none).
+func (c *Common) Attach(cfg harness.Config, j *resilience.Journal) harness.Config {
+	cfg.Jobs, cfg.Progress, cfg.Obs, cfg.Inject, cfg.Journal = c.Jobs, c.Progress(), c.Obs, c.Inject, j
 	return cfg
 }
 
 // OpenJournal opens the campaign journal selected by -journal/-resume,
-// or returns nil when no journal was requested. config is the tool's
-// campaign identity string; the sampling plan's Tag and the geometry
-// tag are appended to it here, so resuming under a different
-// configuration — including a different simulation mode, sampling
-// regime or machine shape, whose cells would not be comparable — is
-// refused in one place for every tool. On resume it reports how many
-// completed cells will be skipped.
-func (c *Common) OpenJournal(config string) (*resilience.Journal, error) {
+// or returns nil when no journal was requested. identity is the
+// campaign's identity (service.Plan.Identity or Identity); resuming a
+// journal recorded under another identity is refused. On resume it
+// reports how many completed cells will be skipped.
+func (c *Common) OpenJournal(identity string) (*resilience.Journal, error) {
 	if c.journalDir == "" {
 		return nil, nil
 	}
-	config += c.Plan.Tag() + c.GeometryTag() + c.PolicyTag()
 	var opts []resilience.Option
 	if c.journalSync {
 		opts = append(opts, resilience.WithSync())
 	}
-	j, err := resilience.Open(c.journalDir, resilience.Meta{Tool: c.tool, Config: config}, c.resume, opts...)
+	j, err := resilience.Open(c.journalDir, resilience.Meta{Tool: c.tool, Config: identity}, c.resume, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -436,6 +405,17 @@ func (c *Common) OpenJournal(config string) (*resilience.Journal, error) {
 		fmt.Fprintf(os.Stderr, "%s: resuming: %d completed cells in journal\n", c.tool, j.Resumed())
 	}
 	return j, nil
+}
+
+// Close ends a campaign's I/O: it closes the journal j (nil for none)
+// and writes the requested observability files, exiting 1 on an error.
+func (c *Common) Close(j *resilience.Journal) {
+	if err := j.Close(); err != nil {
+		c.Fatal(err)
+	}
+	if err := c.WriteObs(); err != nil {
+		c.Fatal(err)
+	}
 }
 
 // ExitFailures prints a campaign-failure summary and exits 1 — the

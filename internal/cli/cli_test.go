@@ -296,13 +296,14 @@ func TestSamplingFlags(t *testing.T) {
 }
 
 // TestSampledJournalCrossMode pins the resume guard in both directions:
+// the sampling regime rides in every campaign's identity (Clauses), so
 // a journal written by a full-mode campaign refuses a sampled resume, a
 // sampled journal refuses a full resume (and a differently-tuned sampled
 // resume), and only the identical regime resumes.
 func TestSampledJournalCrossMode(t *testing.T) {
 	record := func(c *Common) {
 		t.Helper()
-		j, err := c.OpenJournal("cfg")
+		j, err := c.OpenJournal(c.Identity("cfg"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.OpenJournal(c.Identity("cfg")); err == nil {
 		j.Close()
 		t.Fatal("sampled resume over a full-mode journal did not refuse")
 	}
@@ -342,7 +343,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.OpenJournal(c.Identity("cfg")); err == nil {
 		j.Close()
 		t.Fatal("full resume over a sampled journal did not refuse")
 	}
@@ -350,7 +351,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j, err := c.OpenJournal("cfg"); err == nil {
+	if j, err := c.OpenJournal(c.Identity("cfg")); err == nil {
 		j.Close()
 		t.Fatal("resume under a different sampled regime did not refuse")
 	}
@@ -358,7 +359,7 @@ func TestSampledJournalCrossMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.OpenJournal("cfg")
+	j, err := c.OpenJournal(c.Identity("cfg"))
 	if err != nil {
 		t.Fatalf("identical sampled regime failed to resume: %v", err)
 	}
@@ -416,5 +417,26 @@ func TestSharedListParsers(t *testing.T) {
 	}
 	if _, err := parse(t, Options{}, "-sim-mode", "approximate"); err == nil {
 		t.Error("-sim-mode approximate accepted")
+	}
+}
+
+// TestIdentityClauses pins the shared identity clauses a single-cell
+// tool appends to its own: none for a default run, and the cycle
+// budget, sampling regime and scheduler, in that order, when set.
+func TestIdentityClauses(t *testing.T) {
+	c, err := parse(t, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Identity("tool x=1"); got != "tool x=1" {
+		t.Errorf("default identity = %q, want no shared clauses", got)
+	}
+	c, err = parse(t, Options{}, "-cycle-budget", "5000", "-sim-mode", "sampled", "-policy", "symbiotic-ipc", "-timeslice", "7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "tool x=1 cycle-budget=5000" + sampling.DefaultSampledPlan().Tag() + " policy=symbiotic-ipc timeslice=7"
+	if got := c.Identity("tool x=1"); got != want {
+		t.Errorf("identity = %q, want %q", got, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"javasmt/internal/harness"
 	"javasmt/internal/resilience"
-	"javasmt/internal/simos"
 )
 
 // JobState is a job's lifecycle state. Running covers queued and
@@ -73,7 +72,7 @@ type persistedState struct {
 type Job struct {
 	id     string
 	dir    string
-	plan   *plan
+	plan   *Plan
 	config string
 	cells  []harness.CellSpec
 	cfg    harness.Config
@@ -100,31 +99,17 @@ type Job struct {
 }
 
 // newJob builds a Job from a resolved plan and an open ledger.
-func newJob(id, dir string, p *plan, ledger *resilience.Journal, cache *Cache) *Job {
+func newJob(id, dir string, p *Plan, ledger *resilience.Journal, cache *Cache) *Job {
 	jb := &Job{
-		id: id, dir: dir, plan: p, config: p.configString(),
-		cells: p.cells(), ledger: ledger, cache: cache,
+		id: id, dir: dir, plan: p, config: p.Identity(),
+		cells: p.cells(), cfg: p.Config(), ledger: ledger, cache: cache,
 		stop:    make(chan struct{}),
 		state:   StateRunning,
 		resumed: ledger.Resumed(),
 		doneCh:  make(chan struct{}),
 	}
-	jb.cfg = harness.Config{
-		Scale:     p.scale,
-		Jobs:      1,
-		Runs:      p.runs,
-		MaxCycles: harness.DefaultConfig().MaxCycles,
-		Policy: resilience.CellPolicy{
-			WallDeadline: p.cellDL,
-			CycleBudget:  p.spec.CycleBudget,
-			Retries:      p.spec.Retries,
-			Stop:         jb.stop,
-		},
-		Journal:     ledger,
-		Plan:        p.simPlan,
-		SchedPolicy: p.spec.SchedPolicy,
-		SchedParams: simos.Params{Timeslice: p.spec.Timeslice},
-	}
+	jb.cfg.Policy.Stop = jb.stop
+	jb.cfg.Journal = ledger
 	if p.jobDL > 0 {
 		jb.timer = time.AfterFunc(p.jobDL, func() {
 			jb.cancel(fmt.Sprintf("job deadline %v exceeded", p.jobDL))

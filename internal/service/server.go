@@ -162,11 +162,11 @@ func (s *Server) recoverJob(id string) error {
 	if err := json.Unmarshal(specData, &spec); err != nil {
 		return fmt.Errorf("spec.json: %w", err)
 	}
-	p, err := resolve(spec)
+	p, err := Resolve(spec)
 	if err != nil {
 		return err
 	}
-	meta := resilience.Meta{Tool: "javasmtd", Config: p.configString()}
+	meta := resilience.Meta{Tool: "javasmtd", Config: p.Identity()}
 
 	var st persistedState
 	if data, err := os.ReadFile(filepath.Join(dir, stateFile)); err == nil {
@@ -247,7 +247,7 @@ func loadResults(jb *Job) {
 // job's ledger and enqueues its cells. A queue-full rejection returns
 // errBusy; validation problems return errBadSpec.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	p, err := resolve(spec)
+	p, err := Resolve(spec)
 	if err != nil {
 		return nil, &specError{err}
 	}
@@ -280,7 +280,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err := os.WriteFile(filepath.Join(dir, "spec.json"), specData, 0o644); err != nil {
 		return nil, err
 	}
-	ledger, err := resilience.Open(dir, resilience.Meta{Tool: "javasmtd", Config: p.configString()}, false, s.ledgerOptions()...)
+	ledger, err := resilience.Open(dir, resilience.Meta{Tool: "javasmtd", Config: p.Identity()}, false, s.ledgerOptions()...)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,21 +18,24 @@ import (
 	"javasmt/internal/cli"
 	"javasmt/internal/core"
 	"javasmt/internal/harness"
+	"javasmt/internal/resilience"
 	"javasmt/internal/sampling"
+	"javasmt/internal/simos"
 )
 
-// JobSpec is one submitted campaign: which experiment grid to run and
-// under what simulation and resilience configuration. A zero optional
-// field takes the daemon's default: tiny scale, full simulation, the
-// naive seating policy, 6 pairing runs and no deadlines, budget or
-// retries, as in the CLI tools. The grid axes differ from the CLIs in
-// places, so a spec naming only a kind is not always the campaign
-// `report` or `sweep` would run:
-//   - sweep runs threads [1,2] over every benchmark, where `sweep`
-//     runs 1,2,4,8,16 over the multithreaded ones;
-//   - fig12 runs threads [1,2,4,8], where `report` adds 16;
-//   - policy needs all three of its axes given, where `sweep` defaults
-//     the mixes and geometries.
+// JobSpec describes one experiment-grid campaign: which grid to run
+// and under what simulation and resilience configuration. The daemon
+// reads it as JSON; cmd/report, cmd/sweep and cmd/pairings -all build
+// it from their flags (ResolveFlags). Resolve fills every field left
+// out with the one default both sides share:
+//   - tiny scale, full simulation, the naive seating policy, 6 pairing
+//     runs and no deadlines, budget or retries;
+//   - pairings: the nine single-threaded programs;
+//   - sweep: the multithreaded benchmarks at threads 1,2,4,8,16;
+//   - fig12: threads 1,2,4,8,16;
+//   - geometry: every benchmark (the geometries must be given);
+//   - policy: mixes 32,64,128 on geometries 1x2,2x2,4x4 (the policies
+//     must be given; "all" names every registered policy).
 type JobSpec struct {
 	// Kind selects the campaign type: characterization, pairings,
 	// fig10, fig12, sweep, geometry or policy.
@@ -74,32 +78,30 @@ type JobSpec struct {
 // specKinds lists the accepted Kind values.
 var specKinds = []string{"characterization", "pairings", "fig10", "fig12", "sweep", "geometry", "policy"}
 
-// plan is the resolved, validated form of a JobSpec: everything a job
-// needs to enumerate cells and build its harness configuration.
-type plan struct {
+// Plan is the resolved, validated form of a JobSpec: the grid axes with
+// every default filled in, from which a campaign enumerates its cells,
+// builds its harness configuration and takes its identity.
+type Plan struct {
 	spec       JobSpec
 	scale      bench.Scale
 	runs       int
-	benchmarks []*bench.Benchmark
-	threads    []int
-	geos       []core.Geometry
-	policies   []string
-	mixes      []harness.Mix
-	simPlan    sampling.Plan
-	cellDL     time.Duration
-	jobDL      time.Duration
+	Benchmarks []*bench.Benchmark
+	Threads    []int
+	Geos       []core.Geometry
+	Policies   []string
+	Mixes      []harness.Mix
+	// Sim is the simulation regime: full, or sim_mode sampled's default
+	// regime. ResolveFlags replaces it with the command line's sampling
+	// knobs, which have no JobSpec field.
+	Sim    sampling.Plan
+	cellDL time.Duration
+	jobDL  time.Duration
 }
 
-// resolve validates the spec and fills in defaults.
-func resolve(spec JobSpec) (*plan, error) {
-	p := &plan{spec: spec, runs: spec.Runs}
-	ok := false
-	for _, k := range specKinds {
-		if spec.Kind == k {
-			ok = true
-		}
-	}
-	if !ok {
+// Resolve validates the spec and fills in defaults.
+func Resolve(spec JobSpec) (*Plan, error) {
+	p := &Plan{spec: spec, runs: spec.Runs}
+	if !slices.Contains(specKinds, spec.Kind) {
 		return nil, fmt.Errorf("unknown kind %q (want %s)", spec.Kind, strings.Join(specKinds, "|"))
 	}
 
@@ -123,35 +125,36 @@ func resolve(spec JobSpec) (*plan, error) {
 	}
 
 	if len(spec.Benchmarks) > 0 {
-		if p.benchmarks, err = cli.ParseBenchmarks(strings.Join(spec.Benchmarks, ",")); err != nil {
+		if p.Benchmarks, err = cli.ParseBenchmarks(strings.Join(spec.Benchmarks, ",")); err != nil {
 			return nil, err
 		}
 	}
-	p.threads = spec.Threads
-	if err := cli.CheckCounts("thread count", p.threads); err != nil {
+	p.Threads = spec.Threads
+	if err := cli.CheckCounts("thread count", p.Threads); err != nil {
 		return nil, err
 	}
 	if len(spec.Geometries) > 0 {
-		p.geos, err = cli.ParseGeometries(strings.Join(spec.Geometries, ","))
-		if err != nil {
+		if p.Geos, err = cli.ParseGeometries(strings.Join(spec.Geometries, ",")); err != nil {
 			return nil, err
 		}
 	}
-	p.policies = spec.Policies
+	if p.Policies, err = resolvePolicies(spec.Policies); err != nil {
+		return nil, err
+	}
 	if err := cli.CheckCounts("mix size", spec.Mixes); err != nil {
 		return nil, err
 	}
-	for _, n := range spec.Mixes {
-		p.mixes = append(p.mixes, harness.ServerMix(n))
+	if _, err := simos.NewPolicy(spec.SchedPolicy); err != nil {
+		return nil, fmt.Errorf("sched_policy: %w", err)
 	}
 
 	mode, err := sampling.ParseMode(spec.SimMode)
 	if err != nil {
 		return nil, fmt.Errorf("sim_mode: %w", err)
 	}
-	p.simPlan = sampling.FullPlan()
+	p.Sim = sampling.FullPlan()
 	if mode == sampling.Sampled {
-		p.simPlan = sampling.DefaultSampledPlan()
+		p.Sim = sampling.DefaultSampledPlan()
 	}
 	if spec.CellDeadline != "" {
 		if p.cellDL, err = time.ParseDuration(spec.CellDeadline); err != nil || p.cellDL < 0 {
@@ -167,109 +170,160 @@ func resolve(spec JobSpec) (*plan, error) {
 	// Kind-specific axis defaults and requirements.
 	switch spec.Kind {
 	case "pairings":
-		if len(p.benchmarks) == 0 {
-			p.benchmarks = bench.SingleThreaded()
+		if len(p.Benchmarks) == 0 {
+			p.Benchmarks = bench.SingleThreaded()
 		}
 	case "sweep":
-		if len(p.benchmarks) == 0 {
-			p.benchmarks = bench.All()
+		if len(p.Benchmarks) == 0 {
+			p.Benchmarks = bench.Multithreaded()
 		}
-		if len(p.threads) == 0 {
-			p.threads = []int{1, 2}
+		if len(p.Threads) == 0 {
+			p.Threads = []int{1, 2, 4, 8, 16}
 		}
 	case "fig12":
-		if len(p.threads) == 0 {
-			p.threads = []int{1, 2, 4, 8}
+		if len(p.Threads) == 0 {
+			p.Threads = []int{1, 2, 4, 8, 16}
 		}
 	case "geometry":
-		if len(p.benchmarks) == 0 {
-			p.benchmarks = bench.All()
+		if len(p.Benchmarks) == 0 {
+			p.Benchmarks = bench.All()
 		}
-		if len(p.geos) == 0 {
+		if len(p.Geos) == 0 {
 			return nil, fmt.Errorf("kind geometry needs geometries")
 		}
 	case "policy":
-		if len(p.policies) == 0 || len(p.mixes) == 0 || len(p.geos) == 0 {
-			return nil, fmt.Errorf("kind policy needs policies, mixes and geometries")
+		if len(p.Policies) == 0 {
+			return nil, fmt.Errorf("kind policy needs policies")
+		}
+		if len(p.spec.Mixes) == 0 {
+			p.spec.Mixes = []int{32, 64, 128}
+		}
+		if len(p.Geos) == 0 {
+			p.Geos = []core.Geometry{{Cores: 1, ContextsPerCore: 2}, {Cores: 2, ContextsPerCore: 2}, {Cores: 4, ContextsPerCore: 4}}
 		}
 	}
+	for _, n := range p.spec.Mixes {
+		p.Mixes = append(p.Mixes, harness.ServerMix(n))
+	}
+	return p, nil
+}
+
+// resolvePolicies validates a seating-policy axis; "all" alone names
+// every registered policy.
+func resolvePolicies(names []string) ([]string, error) {
+	if len(names) == 1 && names[0] == "all" {
+		return simos.PolicyNames(), nil
+	}
+	var out []string
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if _, err := simos.NewPolicy(name); err != nil || name == "" {
+			return nil, fmt.Errorf("bad policy %q (want one of %s, or all)", name, strings.Join(simos.PolicyNames(), "|"))
+		}
+		out = append(out, name)
+	}
+	return out, nil
+}
+
+// ResolveFlags is Resolve for a campaign described on a command line:
+// spec names the grid (kind, axes, runs) and c supplies what every
+// campaign shares — scale, simulation regime, scheduler and cell policy.
+func ResolveFlags(spec JobSpec, c *cli.Common) (*Plan, error) {
+	spec.Scale = c.Scale.String()
+	spec.SimMode = c.Plan.Mode.String()
+	spec.SchedPolicy, spec.Timeslice = c.SchedPolicy, c.Timeslice
+	spec.CycleBudget, spec.Retries = c.Policy.CycleBudget, c.Policy.Retries
+	if c.Policy.WallDeadline > 0 {
+		spec.CellDeadline = c.Policy.WallDeadline.String()
+	}
+	p, err := Resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	p.Sim = c.Plan
 	return p, nil
 }
 
 // cells enumerates the campaign's cell specs through the harness's
 // shared enumerators — the same cells, same labels, same payloads a
 // one-shot CLI campaign of this spec produces.
-func (p *plan) cells() []harness.CellSpec {
+func (p *Plan) cells() []harness.CellSpec {
 	switch p.spec.Kind {
 	case "characterization":
 		return harness.CharacterizationCellSpecs()
 	case "pairings":
-		return harness.PairingCellSpecs(p.benchmarks)
+		return harness.PairingCellSpecs(p.Benchmarks)
 	case "fig10":
 		return harness.Fig10CellSpecs()
 	case "fig12":
-		return harness.Fig12CellSpecs(p.threads)
+		return harness.Fig12CellSpecs(p.Threads)
 	case "sweep":
-		return harness.SweepCellSpecs(p.benchmarks, p.threads)
+		return harness.SweepCellSpecs(p.Benchmarks, p.Threads)
 	case "geometry":
-		return harness.GeometryCellSpecs(p.benchmarks, p.geos)
+		return harness.GeometryCellSpecs(p.Benchmarks, p.Geos)
 	case "policy":
-		return harness.PolicyCellSpecs(p.policies, p.mixes, p.geos)
+		return harness.PolicyCellSpecs(p.Policies, p.Mixes, p.Geos)
 	}
 	return nil
 }
 
-// configString is the canonical simulation-relevant configuration of
-// the campaign: it becomes the ledger's Meta.Config (so a restarted
-// daemon refuses to resume a job whose spec file was tampered into a
-// different campaign) and, joined with a cell label, the result-cache
+// Config is the campaign's harness configuration: what its cells
+// compute and the cell policy they run under. The caller adds the
+// engine pieces — workers, progress, obs sink, fault injector, journal
+// and the stop signal.
+func (p *Plan) Config() harness.Config {
+	cfg := harness.DefaultConfig()
+	cfg.Scale = p.scale
+	cfg.Runs = p.runs
+	cfg.Policy = resilience.CellPolicy{WallDeadline: p.cellDL, CycleBudget: p.spec.CycleBudget, Retries: p.spec.Retries}
+	cfg.Plan = p.Sim
+	cfg.SchedPolicy = p.spec.SchedPolicy
+	cfg.SchedParams = simos.Params{Timeslice: p.spec.Timeslice}
+	return cfg
+}
+
+// Identity is the canonical simulation-relevant configuration of the
+// campaign: it becomes the journal's Meta.Config — the daemon's ledger
+// and a CLI -journal alike, so a resume under a different campaign is
+// refused — and, joined with a cell label, the daemon's result-cache
 // digest. Execution-only knobs — deadlines, retries, the job deadline —
 // are deliberately absent: they shape how cells run, not what a
 // completed cell's bytes are.
-func (p *plan) configString() string {
+func (p *Plan) Identity() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "kind=%s scale=%v", p.spec.Kind, p.scale)
-	if len(p.benchmarks) > 0 {
-		names := make([]string, len(p.benchmarks))
-		for i, b := range p.benchmarks {
+	if len(p.Benchmarks) > 0 {
+		names := make([]string, len(p.Benchmarks))
+		for i, b := range p.Benchmarks {
 			names[i] = b.Name
 		}
 		fmt.Fprintf(&sb, " benches=%s", strings.Join(names, ","))
 	}
-	if len(p.threads) > 0 {
-		fmt.Fprintf(&sb, " threads=%v", p.threads)
+	if len(p.Threads) > 0 {
+		fmt.Fprintf(&sb, " threads=%v", p.Threads)
 	}
-	if len(p.geos) > 0 {
-		geos := make([]string, len(p.geos))
-		for i, g := range p.geos {
-			geos[i] = fmt.Sprintf("%v", g)
+	if len(p.Geos) > 0 {
+		geos := make([]string, len(p.Geos))
+		for i, g := range p.Geos {
+			geos[i] = g.String()
 		}
 		fmt.Fprintf(&sb, " geos=%s", strings.Join(geos, ","))
 	}
-	if len(p.policies) > 0 {
-		fmt.Fprintf(&sb, " policies=%s", strings.Join(p.policies, ","))
+	if len(p.Policies) > 0 {
+		fmt.Fprintf(&sb, " policies=%s", strings.Join(p.Policies, ","))
 	}
-	if len(p.mixes) > 0 {
+	if len(p.Mixes) > 0 {
 		fmt.Fprintf(&sb, " mixes=%v", p.spec.Mixes)
 	}
 	if p.spec.Kind == "pairings" {
 		fmt.Fprintf(&sb, " runs=%d", p.runs)
 	}
-	if p.spec.CycleBudget > 0 {
-		fmt.Fprintf(&sb, " cycle-budget=%d", p.spec.CycleBudget)
-	}
-	sb.WriteString(p.simPlan.Tag())
-	if p.spec.SchedPolicy != "" {
-		sb.WriteString(" policy=" + p.spec.SchedPolicy)
-	}
-	if p.spec.Timeslice != 0 {
-		fmt.Fprintf(&sb, " timeslice=%d", p.spec.Timeslice)
-	}
+	sb.WriteString(cli.Clauses(p.spec.CycleBudget, p.Sim, p.spec.SchedPolicy, p.spec.Timeslice))
 	return sb.String()
 }
 
 // cellDigest is the result-cache key of one cell under one campaign
-// configuration: FNV-64a over (configString, cell label).
+// configuration: FNV-64a over (Identity, cell label).
 func cellDigest(config, cell string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(config))

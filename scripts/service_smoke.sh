@@ -9,7 +9,8 @@
 #   3. Restart the daemon over the same data directory, require it to
 #      resume at least one ledgered cell, wait for the resumed job to
 #      finish, and require its ledger to be byte-identical (as a line
-#      set) to the reference journal.
+#      set) to the reference journal, and its meta.json config equal to
+#      the reference journal's.
 #   4. Re-submit the identical campaign and require every cell to be
 #      served from the digest cache.
 #   5. Drain the daemon with SIGTERM and check its clean shutdown.
@@ -114,6 +115,19 @@ sort "$tmp/ref/journal.jsonl" > "$tmp/ref.sorted"
 sort "$tmp/svc/jobs/j0001/journal.jsonl" > "$tmp/job.sorted"
 diff -u "$tmp/ref.sorted" "$tmp/job.sorted"
 echo "   resumed ledger is byte-identical to the single-process reference"
+
+# One campaign description: the CLI's journal and the daemon's ledger
+# carry the same identity (service.Plan.Identity).
+meta_config() {
+	python3 -c "import sys,json; print(json.load(open(sys.argv[1]))['config'])" "$1"
+}
+cli_config=$(meta_config "$tmp/ref/meta.json")
+job_config=$(meta_config "$tmp/svc/jobs/j0001/meta.json")
+if [ "$cli_config" != "$job_config" ]; then
+	echo "service_smoke: CLI journal config \"$cli_config\" != daemon ledger config \"$job_config\"" >&2
+	exit 1
+fi
+echo "   CLI journal and daemon ledger share the identity \"$cli_config\""
 
 echo "-- identical resubmission is served from the digest cache"
 id=$(curl -sf -X POST "http://$addr/jobs" -H 'Content-Type: application/json' \

@@ -17,7 +17,9 @@
 # -policy naive byte-identical to the seed scheduler, and the campaign
 # daemon (DESIGN.md §13) must survive kill -9 with a byte-identical
 # resume, serve identical resubmissions from its cache, and reject
-# overload with 429 (scripts/service_smoke.sh), a budgeted report must
+# overload with 429, and write the same campaign identity as the CLI
+# (scripts/service_smoke.sh), the grid tools must refuse the
+# javasmt-only -cores/-contexts flags, a budgeted report must
 # fail every cell at its cycle budget, and the JVM memory
 # model (DESIGN.md §14) must hold its litmus matrix — forbidden
 # outcomes never, TSO relaxations in the fence-free controls — under
@@ -83,6 +85,15 @@ go test -tags checks ./internal/harness -run 'TestPolicyNaiveEquivalence|TestPol
 
 echo "== policy sweep smoke (2x2 server mix, all policies) =="
 go run ./cmd/sweep -policies all -mixes 8 -geos 2x2
+
+echo "== grid tools refuse -cores/-contexts (only javasmt takes a geometry) =="
+go build -o "$tmp/sweep" ./cmd/sweep
+code=0
+"$tmp/sweep" -cores 2 -contexts 2 > /dev/null 2>&1 || code=$?
+if [ "$code" -ne 2 ]; then
+	echo "verify: sweep -cores 2 -contexts 2 exited $code, want 2 (usage error)" >&2
+	exit 1
+fi
 
 echo "== sampled journal smoke (resume works, cross-mode refused) =="
 "$tmp/pairings" -all -benches compress,mpegaudio -runs 2 -j 8 -q \
