@@ -47,7 +47,7 @@ func pairings(b *testing.B) *harness.Pairings {
 		cfg := harness.DefaultConfig()
 		cfg.Runs = 4
 		cfg.Jobs = 0 // one worker per CPU; results identical to serial
-		pairData, pairErr = harness.RunPairings(cfg)
+		pairData, pairErr = harness.RunPairingsOf(bench.SingleThreaded(), cfg)
 	})
 	if pairErr != nil {
 		b.Fatal(pairErr)

@@ -29,34 +29,16 @@ func DefaultConfig() Config {
 	return Config{BTBEntries: 4096, BTBAssoc: 4, HistoryBits: 12, MispredictPenalty: 32}
 }
 
-// Stats accumulates prediction outcomes per context.
+// Stats accumulates prediction outcomes over every context.
 type Stats struct {
 	// Branches counts conditional and indirect control transfers seen.
-	Branches [2]uint64
+	Branches uint64
 	// BTBMisses counts lookups that found no matching entry (the
 	// paper's Figure 7 metric is BTBMisses/Branches).
-	BTBMisses [2]uint64
+	BTBMisses uint64
 	// Mispredicts counts direction or target mispredictions, which cost
 	// the pipeline a flush.
-	Mispredicts [2]uint64
-}
-
-// TotalBranches sums branches over both contexts.
-func (s Stats) TotalBranches() uint64 { return s.Branches[0] + s.Branches[1] }
-
-// TotalBTBMisses sums BTB misses over both contexts.
-func (s Stats) TotalBTBMisses() uint64 { return s.BTBMisses[0] + s.BTBMisses[1] }
-
-// TotalMispredicts sums direction/target mispredictions over both
-// contexts (the numerator of the observability layer's MPKI series).
-func (s Stats) TotalMispredicts() uint64 { return s.Mispredicts[0] + s.Mispredicts[1] }
-
-// MissRatio returns BTB misses per branch across both contexts.
-func (s Stats) MissRatio() float64 {
-	if b := s.TotalBranches(); b > 0 {
-		return float64(s.TotalBTBMisses()) / float64(b)
-	}
-	return 0
+	Mispredicts uint64
 }
 
 type btbEntry struct {
@@ -112,9 +94,6 @@ func (p *Predictor) Config() Config { return p.cfg }
 // Stats returns a snapshot of the statistics.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// ResetStats zeroes statistics, preserving learned state.
-func (p *Predictor) ResetStats() { p.stats = Stats{} }
-
 // Reset returns the predictor to its just-built state — PHT counters to
 // weakly not-taken, BTB invalidated, histories and statistics cleared —
 // while reusing the table allocations. A reset predictor behaves
@@ -162,11 +141,8 @@ func (p *Predictor) phtIndex(pc uint64, ctx int) uint64 {
 // reports target-varying transfers (interpreter dispatch), which miss
 // whenever the BTB target is stale even if found.
 func (p *Predictor) Predict(pc uint64, taken bool, target uint64, indirect bool, ctx int) (correct bool, penalty int) {
-	// Statistics fold contexts beyond the first two in by parity; the
-	// predictor state itself (history, BTB tags) is exact per context.
-	c := ctx & 1
 	p.tick++
-	p.stats.Branches[c]++
+	p.stats.Branches++
 
 	// BTB lookup (thread-tagged, shared capacity).
 	set := p.btb[pc&p.setMask]
@@ -180,7 +156,7 @@ func (p *Predictor) Predict(pc uint64, taken bool, target uint64, indirect bool,
 	}
 	btbTarget := uint64(0)
 	if hit == nil {
-		p.stats.BTBMisses[c]++
+		p.stats.BTBMisses++
 	} else {
 		hit.lru = p.tick
 		btbTarget = hit.target
@@ -234,7 +210,7 @@ func (p *Predictor) Predict(pc uint64, taken bool, target uint64, indirect bool,
 	}
 
 	if !correct {
-		p.stats.Mispredicts[c]++
+		p.stats.Mispredicts++
 		return false, p.cfg.MispredictPenalty
 	}
 	return true, 0

@@ -30,11 +30,11 @@ func TestAlwaysTakenLoopLearns(t *testing.T) {
 		t.Fatalf("steady-state misses = %d, want 0", steady)
 	}
 	s := p.Stats()
-	if s.Branches[0] != 100 {
-		t.Fatalf("branches = %d, want 100", s.Branches[0])
+	if s.Branches != 100 {
+		t.Fatalf("branches = %d, want 100", s.Branches)
 	}
-	if s.BTBMisses[0] != 1 {
-		t.Fatalf("BTB misses = %d, want 1 (cold only)", s.BTBMisses[0])
+	if s.BTBMisses != 1 {
+		t.Fatalf("BTB misses = %d, want 1 (cold only)", s.BTBMisses)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestNotTakenDefaultWithoutBTBEntry(t *testing.T) {
 			t.Fatalf("iteration %d: not-taken branch should predict correctly", i)
 		}
 	}
-	if m := p.Stats().BTBMisses[0]; m != 50 {
+	if m := p.Stats().BTBMisses; m != 50 {
 		t.Fatalf("BTB misses = %d, want 50", m)
 	}
 }
@@ -77,17 +77,28 @@ func TestMispredictPenalty(t *testing.T) {
 	}
 }
 
+// BTB entries are thread-tagged: no other context hits on context 0's
+// entry, at two contexts and at four.
 func TestBTBEntriesArePerContext(t *testing.T) {
-	p := New(DefaultConfig())
-	pc, tgt := uint64(64), uint64(8)
-	// Warm context 0.
-	for i := 0; i < 10; i++ {
+	for _, n := range []int{2, 4} {
+		p := NewFor(DefaultConfig(), n)
+		pc, tgt := uint64(64), uint64(8)
+		// Warm context 0.
+		for i := 0; i < 10; i++ {
+			p.Predict(pc, true, tgt, false, 0)
+		}
+		for ctx := 1; ctx < n; ctx++ {
+			before := p.Stats().BTBMisses
+			p.Predict(pc, true, tgt, false, ctx)
+			if p.Stats().BTBMisses != before+1 {
+				t.Fatalf("n=%d: context %d must not hit on context 0's BTB entry (thread-tagged)", n, ctx)
+			}
+		}
+		before := p.Stats().BTBMisses
 		p.Predict(pc, true, tgt, false, 0)
-	}
-	before := p.Stats().BTBMisses[1]
-	p.Predict(pc, true, tgt, false, 1)
-	if p.Stats().BTBMisses[1] != before+1 {
-		t.Fatal("context 1 must not hit on context 0's BTB entry (thread-tagged)")
+		if p.Stats().BTBMisses != before {
+			t.Fatalf("n=%d: context 0 lost its BTB entry", n)
+		}
 	}
 }
 
@@ -110,7 +121,7 @@ func TestSharedCapacityIsDestructive(t *testing.T) {
 			}
 		}
 		s := p.Stats()
-		return float64(s.BTBMisses[0]) / float64(s.Branches[0])
+		return float64(s.BTBMisses) / float64(s.Branches)
 	}
 	solo, dual := run(false), run(true)
 	if dual <= solo {
@@ -125,40 +136,31 @@ func TestFlushThread(t *testing.T) {
 		p.Predict(129, true, 4, false, 1)
 	}
 	p.FlushThread(0)
-	p.ResetStats()
+	before := p.Stats().BTBMisses
 	p.Predict(128, true, 4, false, 0)
-	p.Predict(129, true, 4, false, 1)
-	s := p.Stats()
-	if s.BTBMisses[0] != 1 {
+	if p.Stats().BTBMisses != before+1 {
 		t.Fatal("context 0 BTB entry should have been flushed")
 	}
-	if s.BTBMisses[1] != 0 {
+	p.Predict(129, true, 4, false, 1)
+	if p.Stats().BTBMisses != before+1 {
 		t.Fatal("context 1 BTB entry should survive a context 0 flush")
 	}
 }
 
+// Property: every transfer is counted once, from up to four contexts,
+// and neither BTB misses nor mispredictions exceed branches.
 func TestStatsInvariants(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		p := New(DefaultConfig())
+		p := NewFor(DefaultConfig(), 4)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n); i++ {
-			p.Predict(uint64(rng.Intn(512)), rng.Intn(2) == 0, uint64(rng.Intn(512)), rng.Intn(4) == 0, rng.Intn(2))
+			p.Predict(uint64(rng.Intn(512)), rng.Intn(2) == 0, uint64(rng.Intn(512)), rng.Intn(4) == 0, rng.Intn(4))
 		}
 		s := p.Stats()
-		return s.TotalBranches() == uint64(n) &&
-			s.TotalBTBMisses() <= s.TotalBranches() &&
-			s.Mispredicts[0] <= s.Branches[0] && s.Mispredicts[1] <= s.Branches[1] &&
-			s.MissRatio() >= 0 && s.MissRatio() <= 1
+		return s.Branches == uint64(n) && s.BTBMisses <= s.Branches && s.Mispredicts <= s.Branches
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMissRatioEmpty(t *testing.T) {
-	var s Stats
-	if s.MissRatio() != 0 {
-		t.Fatal("empty stats must have zero miss ratio")
 	}
 }
 

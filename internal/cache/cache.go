@@ -38,23 +38,12 @@ type Config struct {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.Size / (c.LineSize * c.Assoc) }
 
-// Stats accumulates per-cache event counts. Counters are split by the
-// requesting logical processor so the harness can attribute misses.
+// Stats accumulates per-cache event totals over every requesting
+// context.
 type Stats struct {
-	Accesses [2]uint64
-	Misses   [2]uint64
-	// Evictions counts lines displaced by fills.
-	Evictions uint64
-	// CrossHits counts hits on lines most recently touched by the other
-	// logical processor: a direct measure of constructive interference.
-	CrossHits uint64
+	Accesses uint64
+	Misses   uint64
 }
-
-// TotalAccesses sums accesses over both contexts.
-func (s Stats) TotalAccesses() uint64 { return s.Accesses[0] + s.Accesses[1] }
-
-// TotalMisses sums misses over both contexts.
-func (s Stats) TotalMisses() uint64 { return s.Misses[0] + s.Misses[1] }
 
 // line is one cache line's bookkeeping, packed to 16 bytes so a 4-way set
 // is exactly one host cache line and an 8-way set two — the structure
@@ -65,7 +54,7 @@ func (s Stats) TotalMisses() uint64 { return s.Misses[0] + s.Misses[1] }
 //	bit 0     valid
 //	bits 1-5  logical-processor tag + 1 for thread-tagged caches
 //	          (0 = untagged/shared line; up to 16 contexts per core)
-//	bits 6-9  owner: last toucher, for cross-hit accounting
+//	bits 6-9  owner: last toucher, counted by OccupancyInto
 //	bits 10+  line address
 //
 // A lookup compares key with the owner bits masked off, so hit detection
@@ -140,14 +129,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the statistics without touching cache contents, so a
-// warmup phase can be excluded from measurement (the paper drops the
-// cold-start run for the same reason).
-func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-	c.ckHits = 0
-}
-
 // Reset returns the cache to its just-built state — contents, LRU clock
 // and statistics — while keeping the line array allocated. Unlike
 // Flush it also zeroes each line's LRU stamp: victim selection consults
@@ -189,7 +170,7 @@ func (c *Cache) FlushThread(ctx int) {
 // line on a miss. It returns true on hit.
 func (c *Cache) Access(addr uint64, ctx int) bool {
 	c.tick++
-	c.stats.Accesses[ctx&1]++
+	c.stats.Accesses++
 	lineAddr := addr >> c.lineBits
 	base := int(lineAddr&c.setMask) * c.assoc
 	set := c.lines[base : base+c.assoc]
@@ -203,21 +184,18 @@ func (c *Cache) Access(addr uint64, ctx int) bool {
 		l := &set[i]
 		if l.key&^uint64(keyOwnerMask) == want {
 			l.lru = c.tick
-			if l.key&keyOwnerMask != owner {
-				c.stats.CrossHits++
-				l.key = l.key&^uint64(keyOwnerMask) | owner
-			}
+			l.key = want | owner
 			if check.Enabled && check.On {
 				c.ckHits++
-				check.Assert(c.ckHits+c.stats.TotalMisses() == c.stats.TotalAccesses(),
+				check.Assert(c.ckHits+c.stats.Misses == c.stats.Accesses,
 					c.cfg.Name, "hits %d + misses %d != accesses %d",
-					c.ckHits, c.stats.TotalMisses(), c.stats.TotalAccesses())
+					c.ckHits, c.stats.Misses, c.stats.Accesses)
 			}
 			return true
 		}
 	}
 	// Miss: fill over the LRU way (invalid ways first, by index).
-	c.stats.Misses[ctx&1]++
+	c.stats.Misses++
 	victim := 0
 	for i := 1; i < len(set); i++ {
 		if set[i].key&keyValid == 0 {
@@ -228,39 +206,24 @@ func (c *Cache) Access(addr uint64, ctx int) bool {
 			victim = i
 		}
 	}
-	if set[victim].key&keyValid != 0 {
-		c.stats.Evictions++
-	}
 	set[victim] = line{key: want | owner, lru: c.tick}
 	if check.Enabled && check.On {
 		check.Assert(c.Probe(addr, ctx), c.cfg.Name,
 			"line %#x not resident immediately after a miss fill (ctx %d)", lineAddr, ctx)
-		check.Assert(c.ckHits+c.stats.TotalMisses() == c.stats.TotalAccesses(),
+		check.Assert(c.ckHits+c.stats.Misses == c.stats.Accesses,
 			c.cfg.Name, "hits %d + misses %d != accesses %d",
-			c.ckHits, c.stats.TotalMisses(), c.stats.TotalAccesses())
+			c.ckHits, c.stats.Misses, c.stats.Accesses)
 	}
 	return false
 }
 
-// Occupancy returns the number of valid lines currently held by each
-// logical processor — by line tag for thread-tagged caches, by last
-// toucher (owner) for shared ones. The observability layer samples it to
-// show how the two contexts split a structure's capacity over time, the
-// mechanism behind the paper's trace-cache degradation under HT. Contexts
-// beyond the first two fold into the array by parity; wider machines use
-// OccupancyInto.
-func (c *Cache) Occupancy() (out [2]int) {
-	for i := range c.lines {
-		if k := c.lines[i].key; k&keyValid != 0 {
-			out[(k>>keyOwnerShift)&1]++
-		}
-	}
-	return out
-}
-
 // OccupancyInto counts valid lines per owning context into out (indexed
-// by the context id used in Access) and returns it. Lines owned by a
-// context beyond len(out) are dropped.
+// by the context id used in Access) and returns it: by line tag for
+// thread-tagged caches, by last toucher for shared ones. The
+// observability layer samples it to show how contexts split a
+// structure's capacity over time, the mechanism behind the paper's
+// trace-cache degradation under HT. Lines owned by a context beyond
+// len(out) are dropped.
 func (c *Cache) OccupancyInto(out []int) []int {
 	for i := range out {
 		out[i] = 0

@@ -90,9 +90,3 @@ func (h *Hierarchy) Reset() {
 	h.L1D.Reset()
 	h.L2.Reset()
 }
-
-// ResetStats clears statistics on both cache levels.
-func (h *Hierarchy) ResetStats() {
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-}

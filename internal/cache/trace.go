@@ -80,14 +80,8 @@ func (t *TraceCache) LookupLine(line uint64, ctx int) (hit bool, lat int) {
 // Stats returns the accumulated access/miss statistics.
 func (t *TraceCache) Stats() Stats { return t.inner.Stats() }
 
-// Occupancy returns valid trace lines held per logical processor.
-func (t *TraceCache) Occupancy() [2]int { return t.inner.Occupancy() }
-
 // OccupancyInto counts valid trace lines per owning context into out.
 func (t *TraceCache) OccupancyInto(out []int) []int { return t.inner.OccupancyInto(out) }
-
-// ResetStats zeroes statistics, preserving contents.
-func (t *TraceCache) ResetStats() { t.inner.ResetStats() }
 
 // Flush invalidates the whole trace cache.
 func (t *TraceCache) Flush() { t.inner.Flush() }

@@ -925,29 +925,29 @@ func (c *CPU) Counters() *counters.File {
 	var tcA, tcM, l1A, l1M, itA, itM, dtA, dtM, brB, brBM, brMP uint64
 	for _, cb := range c.cores {
 		tc := cb.tc.Stats()
-		tcA += tc.TotalAccesses()
-		tcM += tc.TotalMisses()
+		tcA += tc.Accesses
+		tcM += tc.Misses
 		l1 := cb.hier.L1D.Stats()
-		l1A += l1.TotalAccesses()
-		l1M += l1.TotalMisses()
+		l1A += l1.Accesses
+		l1M += l1.Misses
 		it := cb.itlb.Stats()
-		itA += it.TotalAccesses()
-		itM += it.TotalMisses()
+		itA += it.Accesses
+		itM += it.Misses
 		dt := cb.dtlb.Stats()
-		dtA += dt.TotalAccesses()
-		dtM += dt.TotalMisses()
+		dtA += dt.Accesses
+		dtM += dt.Misses
 		br := cb.pred.Stats()
-		brB += br.TotalBranches()
-		brBM += br.TotalBTBMisses()
-		brMP += br.TotalMispredicts()
+		brB += br.Branches
+		brBM += br.BTBMisses
+		brMP += br.Mispredicts
 	}
 	c.file.Set(counters.TCAccesses, tcA)
 	c.file.Set(counters.TCMisses, tcM)
 	c.file.Set(counters.L1DAccesses, l1A)
 	c.file.Set(counters.L1DMisses, l1M)
 	l2 := c.l2.Stats()
-	c.file.Set(counters.L2Accesses, l2.TotalAccesses())
-	c.file.Set(counters.L2Misses, l2.TotalMisses())
+	c.file.Set(counters.L2Accesses, l2.Accesses)
+	c.file.Set(counters.L2Misses, l2.Misses)
 	c.file.Set(counters.ITLBAccesses, itA)
 	c.file.Set(counters.ITLBMisses, itM)
 	c.file.Set(counters.DTLBAccesses, dtA)

@@ -59,7 +59,7 @@ func TestObsSamplingStride(t *testing.T) {
 	rewind()
 	const stride = 5_000
 	sink := obs.New(obs.Config{Metrics: true, Stride: stride})
-	cpu.AttachObs(sink.Run("workload"), 0)
+	cpu.AttachObs(sink.RunFor("workload", cpu.Config().NumContexts()), 0)
 	if _, err := cpu.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestObsSamplingStride(t *testing.T) {
 func TestObsResetDetaches(t *testing.T) {
 	cpu, _, _, rewind := obsWorkload(20_000)
 	sink := obs.New(obs.Config{Metrics: true, Stride: 1_000})
-	cpu.AttachObs(sink.Run("first"), 0)
+	cpu.AttachObs(sink.RunFor("first", cpu.Config().NumContexts()), 0)
 	cpu.Reset()
 	if cpu.Obs() != nil {
 		t.Fatal("Reset left the observer attached")
@@ -115,7 +115,7 @@ func TestObsResetDetaches(t *testing.T) {
 	}
 
 	// AttachObs(nil) is the explicit detach spelling.
-	cpu.AttachObs(sink.Run("second"), 0)
+	cpu.AttachObs(sink.RunFor("second", cpu.Config().NumContexts()), 0)
 	cpu.AttachObs(nil, 0)
 	if cpu.Obs() != nil {
 		t.Fatal("AttachObs(nil) left the observer attached")

@@ -70,7 +70,7 @@ func (c *CPU) SeatDyn(s Seat) SeatDyn {
 	return SeatDyn{
 		Retired:       x.retired,
 		ROB:           x.robCount,
-		CoreTCMisses:  x.cb.tc.Stats().TotalMisses(),
-		CoreL1DMisses: x.cb.hier.L1D.Stats().TotalMisses(),
+		CoreTCMisses:  x.cb.tc.Stats().Misses,
+		CoreL1DMisses: x.cb.hier.L1D.Stats().Misses,
 	}
 }

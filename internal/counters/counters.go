@@ -2,12 +2,10 @@
 // the stand-in for the Pentium 4 hardware counters driven by Sprunt's
 // Brink & Abyss tool in the paper.
 //
-// The real machine exposes 18 counters over 48 events; the simulator can
-// afford to count everything all the time, but the package still models
-// the *discipline* of event selection: a Session selects up to MaxHW
-// events per rotation and multiplexes rotations over the run, scaling the
-// observed counts, exactly as sampling tools must on real silicon. The
-// full-precision counts remain available to tests via File.
+// The real machine exposes 18 counters over 48 events, so a tool like
+// Brink & Abyss rotates event groups over a run and scales the observed
+// counts. The simulator counts every event all the time instead: a File
+// holds exact totals, and no multiplexing error is modelled.
 package counters
 
 import (
@@ -108,10 +106,6 @@ const (
 
 // NumEvents is the number of defined events.
 const NumEvents = int(numEvents)
-
-// MaxHW is the number of simultaneously-programmable hardware counters on
-// the paper's Pentium 4.
-const MaxHW = 18
 
 var eventNames = [...]string{
 	Cycles:            "cycles",
@@ -300,8 +294,7 @@ func (f *File) RetirementProfile() [4]float64 {
 //   - DRAM is reached only by L2 misses, so mem_reads + mem_writes == l2_misses.
 //
 // The laws are linear, so they also hold for windowed files produced by
-// Sub and for sums produced by AddFile. They do not apply to the scaled
-// estimates of a multiplexed Session, which are approximate by design.
+// Sub and for sums produced by AddFile.
 func (f *File) CheckConservation() error {
 	type law struct {
 		name     string

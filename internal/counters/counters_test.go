@@ -138,61 +138,6 @@ func TestReportContainsRequestedEvents(t *testing.T) {
 	}
 }
 
-func TestSessionSingleGroupIsExact(t *testing.T) {
-	var src File
-	sess, err := NewSession(&src, []Event{Instructions, TCMisses})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.Groups()) != 1 {
-		t.Fatalf("groups = %d, want 1", len(sess.Groups()))
-	}
-	for i := 0; i < 10; i++ {
-		src.Add(Cycles, 100)
-		src.Add(Instructions, 50)
-		src.Add(TCMisses, 2)
-		sess.Rotate()
-	}
-	est := sess.Estimate()
-	if est.Get(Cycles) != 1000 || est.Get(Instructions) != 500 || est.Get(TCMisses) != 20 {
-		t.Fatalf("estimate = %d/%d/%d", est.Get(Cycles), est.Get(Instructions), est.Get(TCMisses))
-	}
-}
-
-func TestSessionMultiplexingConverges(t *testing.T) {
-	var src File
-	// Request more events than MaxHW so at least two groups rotate.
-	events := make([]Event, 0, NumEvents-1)
-	for e := Event(1); int(e) < NumEvents; e++ {
-		events = append(events, e)
-	}
-	sess, err := NewSession(&src, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.Groups()) < 2 {
-		t.Fatalf("expected multiplexing, got %d group(s)", len(sess.Groups()))
-	}
-	// Steady workload: every event advances at a fixed rate per window.
-	const windows = 400
-	for i := 0; i < windows; i++ {
-		src.Add(Cycles, 1000)
-		src.Add(Instructions, 700)
-		src.Add(TCMisses, 3)
-		src.Add(Branches, 90)
-		sess.Rotate()
-	}
-	est := sess.Estimate()
-	for _, e := range []Event{Instructions, TCMisses, Branches} {
-		truth := src.Get(e)
-		got := est.Get(e)
-		relErr := math.Abs(float64(got)-float64(truth)) / float64(truth)
-		if relErr > 0.02 {
-			t.Fatalf("%v estimate %d vs truth %d (err %.3f)", e, got, truth, relErr)
-		}
-	}
-}
-
 // conservingFile builds a synthetic file satisfying every conservation
 // law: 1000 cycles = 100 halted + 900 retiring cycles, a consistent
 // memory pyramid, and subset relations everywhere.
@@ -276,60 +221,6 @@ func TestCheckConservationCatchesViolations(t *testing.T) {
 				t.Fatalf("error %q does not name the %q law", err, tc.law)
 			}
 		})
-	}
-}
-
-// TestSessionMultiplexingUnevenWindows drives the rotation with per-window
-// rates that vary by ±50% (deterministic LCG), the realistic case where
-// a group's residency windows are not identical. The scaled estimates
-// must still converge on the full-precision file.
-func TestSessionMultiplexingUnevenWindows(t *testing.T) {
-	var src File
-	events := make([]Event, 0, NumEvents-1)
-	for e := Event(1); int(e) < NumEvents; e++ {
-		events = append(events, e)
-	}
-	sess, err := NewSession(&src, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.Groups()) < 2 {
-		t.Fatalf("expected multiplexing, got %d group(s)", len(sess.Groups()))
-	}
-	lcg := uint64(12345)
-	const windows = 4000
-	for i := 0; i < windows; i++ {
-		lcg = lcg*6364136223846793005 + 1442695040888963407
-		jitter := 500 + lcg%1001 // 500..1500 cycles per window
-		src.Add(Cycles, jitter)
-		src.Add(Instructions, jitter*7/10)
-		src.Add(TCMisses, jitter/250)
-		src.Add(Branches, jitter/11)
-		sess.Rotate()
-	}
-	est := sess.Estimate()
-	// The estimate's timebase is exact: every cycle was observed by the
-	// resident group.
-	if est.Get(Cycles) != src.Get(Cycles) {
-		t.Fatalf("estimated cycles %d != true cycles %d", est.Get(Cycles), src.Get(Cycles))
-	}
-	for _, e := range []Event{Instructions, TCMisses, Branches} {
-		truth := src.Get(e)
-		got := est.Get(e)
-		relErr := math.Abs(float64(got)-float64(truth)) / float64(truth)
-		if relErr > 0.05 {
-			t.Fatalf("%v estimate %d vs truth %d (err %.3f)", e, got, truth, relErr)
-		}
-	}
-}
-
-func TestSessionErrors(t *testing.T) {
-	var src File
-	if _, err := NewSession(&src, nil); err == nil {
-		t.Fatal("empty event list must error")
-	}
-	if _, err := NewSession(&src, []Event{Event(200)}); err == nil {
-		t.Fatal("unknown event must error")
 	}
 }
 

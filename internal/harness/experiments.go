@@ -219,17 +219,12 @@ type Pairings struct {
 	Failed   []Failure
 }
 
-// RunPairings executes the cross product of the nine single-threaded
-// programs (§4.2). Pairs are measured in both (A,B) and (B,A) roles —
-// the full 81-cell map, like the paper's Figure 9. cfg.Jobs pairings
-// run concurrently (each on its own machine); the result matrix is
+// RunPairingsOf executes the cross product of progs (§4.2; the paper
+// pairs the nine single-threaded programs, bench.SingleThreaded). Pairs
+// are measured in both (A,B) and (B,A) roles — the full 81-cell map for
+// nine programs, like the paper's Figure 9. cfg.Jobs pairings run
+// concurrently (each on its own machine); the result matrix is
 // byte-identical at every job count.
-func RunPairings(cfg Config) (*Pairings, error) {
-	return RunPairingsOf(bench.SingleThreaded(), cfg)
-}
-
-// RunPairingsOf is RunPairings over an explicit program list — tests and
-// cmd/pairings -benches use reduced lists for fast smoke campaigns.
 func RunPairingsOf(progs []*bench.Benchmark, cfg Config) (*Pairings, error) {
 	rows, fails, err := runGrid(cfg, pairCells(progs))
 	if err != nil {

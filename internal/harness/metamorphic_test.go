@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"javasmt/internal/bench"
 	"javasmt/internal/check"
 	"javasmt/internal/core"
 )
@@ -209,7 +210,7 @@ func TestMetamorphicCrossProduct(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Runs = 1
 			cfg.Jobs = jobs
-			results[i], errs[i] = RunPairings(cfg)
+			results[i], errs[i] = RunPairingsOf(bench.SingleThreaded(), cfg)
 		}()
 	}
 	wg.Wait()

@@ -66,9 +66,6 @@ func (d *DRAM) Config() Config { return d.cfg }
 // Stats returns a snapshot of the statistics.
 func (d *DRAM) Stats() Stats { return d.stats }
 
-// ResetStats zeroes statistics, preserving open-row state.
-func (d *DRAM) ResetStats() { d.stats = Stats{} }
-
 // Reset returns the DRAM model to its just-built state: banks closed,
 // bus idle, statistics zeroed. Required before reusing a machine whose
 // cycle clock restarts at zero (busFree is an absolute cycle number).

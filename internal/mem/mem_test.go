@@ -55,9 +55,9 @@ func TestReadWriteCounting(t *testing.T) {
 	if s.Reads != 1 || s.Writes != 1 || s.Accesses() != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	d.ResetStats()
-	if d.Stats().Accesses() != 0 {
-		t.Fatal("ResetStats failed")
+	d.Reset()
+	if d.Stats() != (Stats{}) {
+		t.Fatal("Reset left stats behind")
 	}
 }
 

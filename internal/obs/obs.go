@@ -112,17 +112,14 @@ func (s *Sink) Stride() uint64 {
 	return s.cfg.Stride
 }
 
-// Run registers one simulation with the sink under label and returns its
-// observer. Labels should be unique within a sink (the metrics export
-// sorts by label so files are deterministic at any worker count).
-// Returns nil — a universal no-op observer — when the sink is nil or
-// fully disabled. Safe for concurrent use. The trace gets the legacy two
-// logical-processor tracks; machines with more contexts use RunFor.
-func (s *Sink) Run(label string) *RunObs { return s.RunFor(label, 2) }
-
 // RunFor registers one simulation of a machine with lps logical
-// processors (minimum two, keeping the legacy track layout for the
-// paper's one- and two-context geometries).
+// processors with the sink under label and returns its observer. Labels
+// should be unique within a sink (the metrics export sorts by label so
+// files are deterministic at any worker count). Returns nil — a
+// universal no-op observer — when the sink is nil or fully disabled.
+// Safe for concurrent use. The trace gets one track per logical
+// processor, at least two (the legacy layout of the paper's one- and
+// two-context geometries).
 func (s *Sink) RunFor(label string, lps int) *RunObs {
 	if !s.Enabled() {
 		return nil

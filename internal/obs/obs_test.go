@@ -20,7 +20,7 @@ func TestNilSinkIsNoOp(t *testing.T) {
 	if got := s.Stride(); got != DefaultStride {
 		t.Fatalf("nil sink stride = %d, want %d", got, DefaultStride)
 	}
-	if r := s.Run("x"); r != nil {
+	if r := s.RunFor("x", 2); r != nil {
 		t.Fatal("nil sink handed out a non-nil observer")
 	}
 	s.CellSpan(0, "cell", time.Now(), time.Now())
@@ -73,7 +73,7 @@ func TestDisabledSinkRunIsNil(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("output-less sink reports itself enabled")
 	}
-	if r := s.Run("x"); r != nil {
+	if r := s.RunFor("x", 2); r != nil {
 		t.Fatal("output-less sink handed out an observer")
 	}
 }
@@ -95,7 +95,7 @@ func fileAt(cycles, uops, tc, l1d, l2, mispredicts uint64) counters.File {
 // while the Cum block stays cumulative.
 func TestSampleWindowedMetrics(t *testing.T) {
 	s := New(Config{Metrics: true, Stride: 1000})
-	r := s.Run("run")
+	r := s.RunFor("run", 2)
 	if r == nil {
 		t.Fatal("enabled sink returned nil observer")
 	}
@@ -131,7 +131,7 @@ func TestSampleWindowedMetrics(t *testing.T) {
 // boundary replaces the boundary sample instead of duplicating it.
 func TestSampleSameCycleDedupe(t *testing.T) {
 	s := New(Config{Metrics: true})
-	r := s.Run("run")
+	r := s.RunFor("run", 2)
 	f := fileAt(1000, 100, 0, 0, 0, 0)
 	r.Sample(1000, &f, &CoreState{})
 	f.Set(counters.Instructions, 150)
@@ -153,7 +153,7 @@ func TestSampleSameCycleDedupe(t *testing.T) {
 func TestMetricsExportSortedByLabel(t *testing.T) {
 	s := New(Config{Metrics: true})
 	for _, label := range []string{"zeta", "alpha", "mid"} {
-		r := s.Run(label)
+		r := s.RunFor(label, 2)
 		f := fileAt(10, 10, 0, 0, 0, 0)
 		r.Sample(10, &f, &CoreState{})
 	}
@@ -184,7 +184,7 @@ func TestMetricsExportSortedByLabel(t *testing.T) {
 // events by (pid, tid, ts).
 func TestTraceExport(t *testing.T) {
 	s := New(Config{Metrics: true, Trace: true})
-	r := s.Run("compress")
+	r := s.RunFor("compress", 2)
 	r.ThreadSlice(0, "main", 100, 500)
 	r.ThreadSlice(1, "gc", 200, 400)
 	r.ThreadSlice(0, "empty", 300, 300) // zero-length: must be dropped
@@ -230,7 +230,7 @@ func TestTraceExport(t *testing.T) {
 // process, so per-LP tracks from different simulations never merge.
 func TestRunPidsDistinct(t *testing.T) {
 	s := New(Config{Trace: true})
-	r1, r2 := s.Run("a"), s.Run("b")
+	r1, r2 := s.RunFor("a", 2), s.RunFor("b", 2)
 	if r1.pid == r2.pid {
 		t.Fatalf("two runs share pid %d", r1.pid)
 	}

@@ -32,13 +32,15 @@ func TestCacheRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCellDigestSeparatesConfigAndCell(t *testing.T) {
+func TestCacheSeparatesConfigAndCell(t *testing.T) {
 	// The NUL separator keeps (config, cell) unambiguous: moving a
-	// character across the boundary must change the digest.
-	if cellDigest("ab", "c") == cellDigest("a", "bc") {
-		t.Fatal("digest collides across the config/cell boundary")
+	// character across the boundary names a different entry.
+	c := NewCache()
+	c.Put("ab", "c", []byte("1"))
+	if _, ok := c.Get("a", "bc"); ok {
+		t.Fatal("key collides across the config/cell boundary")
 	}
-	if cellDigest("cfg", "cell") != cellDigest("cfg", "cell") {
-		t.Fatal("digest not deterministic")
+	if got, ok := c.Get("ab", "c"); !ok || string(got) != "1" {
+		t.Fatalf("Get(ab, c) = %q, %v", got, ok)
 	}
 }

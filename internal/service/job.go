@@ -35,7 +35,7 @@ type CellResult struct {
 	Cell   string `json:"cell"`
 	Status string `json:"status"`
 	Reason string `json:"reason,omitempty"`
-	// Cached marks a result served from the daemon's digest cache
+	// Cached marks a result served from the daemon's result cache
 	// instead of simulation (its bytes are identical either way).
 	Cached  bool            `json:"cached,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
@@ -119,7 +119,7 @@ func newJob(id, dir string, p *Plan, ledger *resilience.Journal, cache *Cache) *
 }
 
 // runOne executes one cell in an executor slot: ledger first (a
-// recorded cell replays for free), then the cross-job digest cache,
+// recorded cell replays for free), then the cross-job result cache,
 // then real simulation under the job's full resilience stack.
 func (jb *Job) runOne(i int) {
 	spec := jb.cells[i]

@@ -35,7 +35,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the cell executor, the digest cache and the job table.
+// Server owns the cell executor, the result cache and the job table.
 // It is constructed with New (which also recovers jobs a previous
 // daemon left unfinished) and exposed over HTTP via Handler.
 //
@@ -213,7 +213,7 @@ func (s *Server) recoverJob(id string) error {
 	return nil
 }
 
-// seedCache loads a recovered job's completed payloads into the digest
+// seedCache loads a recovered job's completed payloads into the result
 // cache, so an identical campaign submitted after the restart is
 // served without simulating.
 func (s *Server) seedCache(jb *Job) {

@@ -98,7 +98,7 @@ func TestSubmitRunsCampaignToDone(t *testing.T) {
 }
 
 // TestResubmitServedFromCache re-submits an identical campaign and
-// checks every cell is served from the digest cache — and that the
+// checks every cell is served from the result cache — and that the
 // cached job's ledger is byte-identical to the simulated one.
 func TestResubmitServedFromCache(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -9,7 +9,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"time"
@@ -286,7 +285,7 @@ func (p *Plan) Config() harness.Config {
 // campaign: it becomes the journal's Meta.Config — the daemon's ledger
 // and a CLI -journal alike, so a resume under a different campaign is
 // refused — and, joined with a cell label, the daemon's result-cache
-// digest. Execution-only knobs — deadlines, retries, the job deadline —
+// key. Execution-only knobs — deadlines, retries, the job deadline —
 // are deliberately absent: they shape how cells run, not what a
 // completed cell's bytes are.
 func (p *Plan) Identity() string {
@@ -320,16 +319,6 @@ func (p *Plan) Identity() string {
 	}
 	sb.WriteString(cli.Clauses(p.spec.CycleBudget, p.Sim, p.spec.SchedPolicy, p.spec.Timeslice))
 	return sb.String()
-}
-
-// cellDigest is the result-cache key of one cell under one campaign
-// configuration: FNV-64a over (Identity, cell label).
-func cellDigest(config, cell string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(config))
-	h.Write([]byte{0})
-	h.Write([]byte(cell))
-	return h.Sum64()
 }
 
 // canonicalSpec re-marshals the spec with sorted keys for spec.json;

@@ -15,7 +15,7 @@ import "javasmt/internal/check"
 type Config struct {
 	// Name appears in counter reports ("ITLB", "DTLB").
 	Name string
-	// Entries is the total entry count across both contexts.
+	// Entries is the total entry count across all contexts.
 	Entries int
 	// Assoc is the set associativity; Entries/Assoc sets must be a
 	// power of two.
@@ -24,9 +24,9 @@ type Config struct {
 	PageSize int
 	// MissPenalty is the page-walk cost in cycles.
 	MissPenalty int
-	// Partitioned statically splits the entries between the two logical
-	// processors when HT is enabled (the P4 ITLB design). When false
-	// the structure is fully shared (the DTLB design).
+	// Partitioned statically splits the entries between the logical
+	// processors of a multi-context core (the P4 ITLB design under HT).
+	// When false the structure is fully shared (the DTLB design).
 	Partitioned bool
 }
 
@@ -41,17 +41,12 @@ func DefaultDTLBConfig() Config {
 	return Config{Name: "DTLB", Entries: 64, Assoc: 4, PageSize: 4096, MissPenalty: 30, Partitioned: false}
 }
 
-// Stats accumulates per-context access and miss counts.
+// Stats accumulates access and miss totals over every requesting
+// context.
 type Stats struct {
-	Accesses [2]uint64
-	Misses   [2]uint64
+	Accesses uint64
+	Misses   uint64
 }
-
-// TotalAccesses sums accesses over both contexts.
-func (s Stats) TotalAccesses() uint64 { return s.Accesses[0] + s.Accesses[1] }
-
-// TotalMisses sums misses over both contexts.
-func (s Stats) TotalMisses() uint64 { return s.Misses[0] + s.Misses[1] }
 
 // entry is one translation, packed to 16 bytes so a 4-way set is one
 // host cache line (this is the second-hottest structure walk after the
@@ -64,17 +59,16 @@ type entry struct {
 }
 
 // TLB is a set-associative translation buffer with optional static
-// partitioning between the two logical processors.
+// partitioning between logical processors.
 type TLB struct {
-	cfg       Config
-	entries   []entry // flat [partition*sets*assoc + set*assoc + way]
-	assoc     int
-	nsets     int // sets per partition
-	pageBits  uint
-	tick      uint64
-	partitons int
-	ht        bool
-	stats     Stats
+	cfg        Config
+	entries    []entry // flat [partition*sets*assoc + set*assoc + way]
+	assoc      int
+	nsets      int // sets per partition
+	pageBits   uint
+	tick       uint64
+	partitions int
+	stats      Stats
 	// ckHits counts hit-path exits, maintained only under -tags checks so
 	// hits+misses==accesses can be asserted without touching the default
 	// build's hot path.
@@ -98,7 +92,6 @@ func New(cfg Config) *TLB {
 // partitioned TLB serving n > 1 contexts becomes n structures of 1/n the
 // entries each; otherwise one full-size structure serves all requests.
 func (t *TLB) rebuild(nctx int) {
-	t.ht = nctx > 1
 	parts := 1
 	entries := t.cfg.Entries
 	if t.cfg.Partitioned && nctx > 1 {
@@ -109,26 +102,16 @@ func (t *TLB) rebuild(nctx int) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("tlb: sets must be a positive power of two: " + t.cfg.Name)
 	}
-	t.partitons = parts
+	t.partitions = parts
 	t.assoc = t.cfg.Assoc
 	t.nsets = sets
 	t.entries = make([]entry, parts*sets*t.cfg.Assoc)
 }
 
-// SetHT reconfigures the TLB for Hyper-Threading on/off. Contents are
-// discarded (the machine in the paper is rebooted between HT modes).
-func (t *TLB) SetHT(ht bool) {
-	if ht {
-		t.rebuild(2)
-	} else {
-		t.rebuild(1)
-	}
-}
-
 // SetContexts reconfigures the TLB for n logical processors: a
 // partitioned structure becomes n equal slices, a shared one is
-// unaffected beyond dropping its contents. SetContexts(2) is identical to
-// SetHT(true).
+// unaffected beyond dropping its contents (the machine in the paper is
+// rebooted between HT modes).
 func (t *TLB) SetContexts(n int) { t.rebuild(n) }
 
 // Config returns the TLB geometry.
@@ -137,14 +120,8 @@ func (t *TLB) Config() Config { return t.cfg }
 // Stats returns a snapshot of the statistics.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// ResetStats zeroes statistics without dropping translations.
-func (t *TLB) ResetStats() {
-	t.stats = Stats{}
-	t.ckHits = 0
-}
-
-// Reset returns the TLB to its just-built state in the current HT mode:
-// translations dropped, LRU clock and statistics zeroed. Entries are
+// Reset returns the TLB to its just-built state for its current context
+// count: translations dropped, LRU clock and statistics zeroed. Entries are
 // zeroed outright (not just invalidated) because victim selection reads
 // the LRU stamps of slots it fills over; the entry arrays are reused.
 func (t *TLB) Reset() {
@@ -156,29 +133,16 @@ func (t *TLB) Reset() {
 	t.ckHits = 0
 }
 
-// Occupancy returns the number of valid translations visible to each
-// logical processor: per-partition counts when statically partitioned,
-// otherwise every valid entry under index 0 (the structure is shared).
-// The observability layer samples it to show TLB reach shrinking when HT
-// halves each context's partition. Partitions beyond the first two fold
-// in by parity; wider machines use OccupancyInto.
-func (t *TLB) Occupancy() (out [2]int) {
-	n := len(t.entries) / t.partitons
-	for i := range t.entries {
-		if t.entries[i].key&1 != 0 {
-			out[(i/n)&1]++
-		}
-	}
-	return out
-}
-
 // OccupancyInto counts valid translations per partition into out (all
-// under index 0 for a shared structure) and returns it.
+// under index 0 for a shared structure) and returns it. The
+// observability layer samples it to show TLB reach shrinking when HT
+// splits a partitioned structure between contexts. Partitions beyond
+// len(out) are dropped.
 func (t *TLB) OccupancyInto(out []int) []int {
 	for i := range out {
 		out[i] = 0
 	}
-	n := len(t.entries) / t.partitons
+	n := len(t.entries) / t.partitions
 	for i := range t.entries {
 		if t.entries[i].key&1 != 0 {
 			if p := i / n; p < len(out) {
@@ -199,12 +163,12 @@ func (t *TLB) Flush() {
 // FlushContext drops translations visible to logical processor ctx: its
 // partition if partitioned, everything otherwise.
 func (t *TLB) FlushContext(ctx int) {
-	if t.partitons == 1 {
+	if t.partitions == 1 {
 		t.Flush()
 		return
 	}
-	part := ctx % t.partitons
-	n := len(t.entries) / t.partitons
+	part := ctx % t.partitions
+	n := len(t.entries) / t.partitions
 	for i := part * n; i < (part+1)*n; i++ {
 		t.entries[i].key &^= 1
 	}
@@ -215,16 +179,16 @@ func (t *TLB) FlushContext(ctx int) {
 // Config().MissPenalty cycles.
 func (t *TLB) Access(addr uint64, ctx int) bool {
 	t.tick++
-	t.stats.Accesses[ctx&1]++
+	t.stats.Accesses++
 	vpn := addr >> t.pageBits
 	part := 0
-	if t.partitons > 1 {
-		part = ctx % t.partitons
+	if t.partitions > 1 {
+		part = ctx % t.partitions
 	}
-	if check.Enabled && check.On && t.cfg.Partitioned && t.partitons > 1 {
+	if check.Enabled && check.On && t.cfg.Partitioned && t.partitions > 1 {
 		// Partition isolation: a context's lookups must stay inside its
 		// own slice of a statically-partitioned structure.
-		check.Assert(part == ctx%t.partitons, t.cfg.Name,
+		check.Assert(part == ctx%t.partitions, t.cfg.Name,
 			"ctx %d routed to partition %d", ctx, part)
 	}
 	base := (part*t.nsets + int(vpn)&(t.nsets-1)) * t.assoc
@@ -235,14 +199,14 @@ func (t *TLB) Access(addr uint64, ctx int) bool {
 			set[i].lru = t.tick
 			if check.Enabled && check.On {
 				t.ckHits++
-				check.Assert(t.ckHits+t.stats.TotalMisses() == t.stats.TotalAccesses(),
+				check.Assert(t.ckHits+t.stats.Misses == t.stats.Accesses,
 					t.cfg.Name, "hits %d + misses %d != accesses %d",
-					t.ckHits, t.stats.TotalMisses(), t.stats.TotalAccesses())
+					t.ckHits, t.stats.Misses, t.stats.Accesses)
 			}
 			return true
 		}
 	}
-	t.stats.Misses[ctx&1]++
+	t.stats.Misses++
 	victim := 0
 	for i := 1; i < len(set); i++ {
 		if set[i].key&1 == 0 {
@@ -266,9 +230,9 @@ func (t *TLB) Access(addr uint64, ctx int) bool {
 		}
 		check.Assert(found, t.cfg.Name,
 			"vpn %#x not resident immediately after a miss fill (ctx %d)", vpn, ctx)
-		check.Assert(t.ckHits+t.stats.TotalMisses() == t.stats.TotalAccesses(),
+		check.Assert(t.ckHits+t.stats.Misses == t.stats.Accesses,
 			t.cfg.Name, "hits %d + misses %d != accesses %d",
-			t.ckHits, t.stats.TotalMisses(), t.stats.TotalAccesses())
+			t.ckHits, t.stats.Misses, t.stats.Accesses)
 	}
 	return false
 }

@@ -12,7 +12,7 @@
 #      set) to the reference journal, and its meta.json config equal to
 #      the reference journal's.
 #   4. Re-submit the identical campaign and require every cell to be
-#      served from the digest cache.
+#      served from the result cache.
 #   5. Drain the daemon with SIGTERM and check its clean shutdown.
 #   6. Start a daemon with -max-jobs 1 and require the second
 #      concurrent submission to be rejected with HTTP 429 while the
@@ -129,7 +129,7 @@ if [ "$cli_config" != "$job_config" ]; then
 fi
 echo "   CLI journal and daemon ledger share the identity \"$cli_config\""
 
-echo "-- identical resubmission is served from the digest cache"
+echo "-- identical resubmission is served from the result cache"
 id=$(curl -sf -X POST "http://$addr/jobs" -H 'Content-Type: application/json' \
     -d "$SPEC" | python3 -c 'import sys,json; print(json.load(sys.stdin)["id"])')
 wait_done "$id"
